@@ -42,15 +42,11 @@ and enforces these guards:
   built once then patched, rematch patched), so a silently-degraded
   cache fails loudly instead of just slowly.
 * **sweep-backend micro-benchmark** — the same classic fixpoint on the
-  same compiled A12-large edge arrays through all importable backends:
-  the NumPy ``bincount`` sweep must run at least ``SWEEP_MIN_SPEEDUP``
-  times faster than the pure-Python gather/scatter loop, and the C
-  extension (``repro.harmony._csweep``) at least
-  ``C_SWEEP_MIN_SPEEDUP`` times faster than the Python loop *and*
-  ``C_SWEEP_MIN_VS_NUMPY`` times faster than the NumPy sweep — all
-  agreeing to 1e-12 on every pair.  Each accelerator gate is skipped
-  (with a note) when its backend is not importable/buildable — the
-  bench stays dependency-free.
+  same compiled A12-large edge arrays through both backends: the NumPy
+  ``bincount`` sweep must run at least ``SWEEP_MIN_SPEEDUP`` times
+  faster than the pure-Python gather/scatter loop, agreeing to 1e-12 on
+  every pair.  The gate is skipped (with a note) when NumPy is not
+  importable — the bench stays dependency-free.
 * **schema-serialization micro-benchmark** — a chain of small schema
   evolutions of the A12 source: re-landing each version through
   ``serialize_schema(delta=True, previous=...)`` must run at least
@@ -220,10 +216,6 @@ FLOODING_MIN_SPEEDUP = 3.0
 REMATCH_MIN_SPEEDUP = 2.0
 #: the numpy bincount sweep must beat the python loop by this factor
 SWEEP_MIN_SPEEDUP = 2.0
-#: the C sweep extension must beat the python loop by this factor
-C_SWEEP_MIN_SPEEDUP = 20.0
-#: ... and the numpy bincount sweep by this factor
-C_SWEEP_MIN_VS_NUMPY = 2.0
 #: delta schema re-serialization must beat remove + full rewrite by this
 SCHEMA_SERIALIZE_MIN_SPEEDUP = 3.0
 #: the CSR all_pairs matmul must beat the postings merge by this factor
@@ -492,7 +484,7 @@ def _rematch_microbench(source, target):
         raise AssertionError(
             f"warm rematch drifted from cold match by {worst} "
             f"(> {SPARSE_TOLERANCE})")
-    resolved = stats["sweep_backend"]
+    resolved = stats["sweep"]
     run_counters = {k: v for k, v in sweep_run_stats().items() if v}
     expected = {f"sweep_directional_runs_{resolved}": 3}
     if run_counters != expected:
@@ -505,7 +497,7 @@ def _rematch_microbench(source, target):
         "rematch_warm_wall_s": round(warm_wall, 4),
         "rematch_speedup": round(cold_wall / warm_wall, 2),
         "rematch_cells": len(warm_cells),
-        "rematch_sweep_backend": stats["sweep_backend"],
+        "rematch_sweep_backend": stats["sweep"],
     }
 
 
@@ -536,12 +528,11 @@ def _sweep_entries(compiled, initial):
 
 def _sweep_microbench(source, target):
     """The classic fixpoint kernel on the compiled A12-large edge arrays
-    through every importable backend, on identical precomputed entries:
-    pure-Python gather/scatter (always), the NumPy ``bincount`` sweep,
-    and the C extension.  Every accelerated σ vector must agree with the
-    python one to 1e-12.  An accelerator arm whose backend cannot import
-    is skipped with a note — the smoke stays runnable on a
-    dependency-free install."""
+    through both backends, on identical precomputed entries: pure-Python
+    gather/scatter (always) and the NumPy ``bincount`` sweep, whose σ
+    vector must agree with the python one to 1e-12.  The NumPy arm is
+    skipped with a note when NumPy cannot import — the smoke stays
+    runnable on a dependency-free install."""
     compiled = compile_pcg(source, target)
     source_ids = sorted(e.element_id for e in source)
     target_ids = sorted(e.element_id for e in target)
@@ -573,38 +564,21 @@ def _sweep_microbench(source, target):
         "sweep_python_wall_s": round(python_wall, 4),
     }
 
-    def accelerated_arm(selector):
-        try:
-            backend = resolve_sweep_backend(selector)
-        except ImportError:
-            return None
-        wall, sigma = best_of_3(backend)
-        worst = max(abs(sigma[i] - python_sigma[i]) for i in range(n))
-        if worst > SPARSE_TOLERANCE:
-            raise AssertionError(
-                f"{selector} sweep drifted from the python loop by {worst} "
-                f"(> {SPARSE_TOLERANCE})")
-        return wall
-
-    numpy_wall = accelerated_arm("numpy")
-    if numpy_wall is None:
+    try:
+        numpy_backend = resolve_sweep_backend("numpy")
+    except ImportError:
         print("note: numpy not importable; numpy sweep gate skipped")
-    else:
-        result.update({
-            "sweep_numpy_wall_s": round(numpy_wall, 4),
-            "sweep_speedup": round(python_wall / numpy_wall, 2),
-        })
-
-    c_wall = accelerated_arm("c")
-    if c_wall is None:
-        print("note: C sweep extension not importable; C sweep gate skipped")
-    else:
-        result.update({
-            "sweep_c_wall_s": round(c_wall, 4),
-            "sweep_c_speedup": round(python_wall / c_wall, 2),
-        })
-        if numpy_wall is not None:
-            result["sweep_c_vs_numpy"] = round(numpy_wall / c_wall, 2)
+        return result
+    numpy_wall, sigma = best_of_3(numpy_backend)
+    worst = max(abs(sigma[i] - python_sigma[i]) for i in range(n))
+    if worst > SPARSE_TOLERANCE:
+        raise AssertionError(
+            f"numpy sweep drifted from the python loop by {worst} "
+            f"(> {SPARSE_TOLERANCE})")
+    result.update({
+        "sweep_numpy_wall_s": round(numpy_wall, 4),
+        "sweep_speedup": round(python_wall / numpy_wall, 2),
+    })
     return result
 
 
@@ -786,8 +760,6 @@ def _embedding_microbench(source, target):
     config = EngineConfig(
         embedding=True,
         blocking=BlockingConfig(strategy="ann"),
-        incremental_blocking=True,
-        incremental_rematch=True,
         reuse_context=True,
     )
     warm_engine = HarmonyEngine(config=config)
@@ -1647,16 +1619,6 @@ def main(argv) -> int:
         failures.append(
             f"numpy sweep only {result['sweep_speedup']:.2f}x faster "
             f"than the python loop (required >= {SWEEP_MIN_SPEEDUP}x)")
-    if ("sweep_c_speedup" in result
-            and result["sweep_c_speedup"] < C_SWEEP_MIN_SPEEDUP):
-        failures.append(
-            f"C sweep only {result['sweep_c_speedup']:.2f}x faster than "
-            f"the python loop (required >= {C_SWEEP_MIN_SPEEDUP}x)")
-    if ("sweep_c_vs_numpy" in result
-            and result["sweep_c_vs_numpy"] < C_SWEEP_MIN_VS_NUMPY):
-        failures.append(
-            f"C sweep only {result['sweep_c_vs_numpy']:.2f}x faster than "
-            f"the numpy sweep (required >= {C_SWEEP_MIN_VS_NUMPY}x)")
     if result["schema_serialize_speedup"] < SCHEMA_SERIALIZE_MIN_SPEEDUP:
         failures.append(
             f"delta schema serialization only "

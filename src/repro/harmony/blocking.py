@@ -26,8 +26,8 @@ like IDF).  Ties at the cut keep *all* tied targets, and elements with
 no key overlap at all are padded back up to the budget in deterministic
 order — the recall budget is a floor, never a filter on its own.
 
-Behind ``EngineConfig.incremental_blocking`` the engine keeps a
-persistent :class:`BlockingIndex` next to its ``FloodingState``: per-
+The engine keeps a persistent :class:`BlockingIndex` next to its
+``FloodingState``: per-
 element key sets are cached across runs, and after a schema evolution
 only the dirty closure is re-keyed (:meth:`BlockingIndex.note_evolution`)
 before the postings are reassembled in current-graph order — identical

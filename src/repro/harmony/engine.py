@@ -41,8 +41,6 @@ from .flooding import (
     FloodingConfig,
     FloodingState,
     SweepBackend,
-    classic_flooding,
-    directional_flooding,
     directional_flooding_compiled,
     resolve_sweep_backend,
 )
@@ -63,10 +61,14 @@ FLOODING_DIRECTIONAL = "directional"
 class EngineConfig:
     """Tunable knobs of the Harmony engine.
 
-    The performance knobs (`blocking`, `parallelism`, `reuse_context`,
-    `sparse_flooding`) all default to the exhaustive, serial,
-    rebuild-everything behavior so results stay bit-identical unless a
-    caller opts in; :meth:`fast` is the everything-on preset.
+    There is one production match path: string measures through the
+    memoized :mod:`repro.text.kernels`, documentation cosine through the
+    sparse TF-IDF ``all_pairs`` sweep, flooding over the compiled PCG on
+    the best importable sweep backend, O(delta) rematch and RDF writes.
+    Every knob left here changes output or event granularity.  The
+    defaults score the full candidate set serially and rebuild the
+    context every run; :meth:`fast` turns on blocking, context reuse and
+    the rest.
     """
 
     flooding: str = FLOODING_DIRECTIONAL
@@ -77,7 +79,9 @@ class EngineConfig:
     learning_rate: float = 0.25
     learn_word_weights: bool = True
     #: candidate blocking stage — ``None`` scores the full kind-compatible
-    #: cross-product, a :class:`BlockingConfig` prunes it first
+    #: cross-product, a :class:`BlockingConfig` prunes it first.  The
+    #: blocking index persists across runs and, after an evolution, only
+    #: the dirty closure is re-keyed
     blocking: Optional[BlockingConfig] = None
     #: voter-scoring threads; 1 (or 0) = serial.  Parallel runs chunk the
     #: candidate pairs and merge results in chunk order, so the vote list
@@ -87,71 +91,24 @@ class EngineConfig:
     #: re-runs on the same unmutated schema graphs — the Section 4.3
     #: refinement loop stops rebuilding everything each round.  Learned
     #: word weights then accumulate across rounds instead of resetting.
+    #: Also lets :meth:`HarmonyEngine.rematch` patch the previous run's
+    #: state for the elements an evolution touched
     reuse_context: bool = False
     #: restrict classic flooding's propagation graph to the scored pairs
     #: and their one-hop neighborhood (directional flooding is already
     #: sparse by construction)
     sparse_flooding: bool = False
-    #: score string similarity through the memoized ``repro.text.kernels``
-    #: instead of the reference ``repro.text.similarity`` — differentially
-    #: tested equal to 1e-12 (tests/text/test_kernels_differential.py)
-    similarity_kernels: bool = False
-    #: score documentation cosine through the sparse id-interned TF-IDF
-    #: engine (``repro.text.tfidf_sparse``): one postings-list
-    #: ``all_pairs`` sweep per corpus instead of a dict cosine per pair —
-    #: differentially tested equal to 1e-12
-    #: (tests/text/test_tfidf_sparse_differential.py)
-    sparse_tfidf: bool = False
-    #: run the flooding fixpoints over the compiled edge-array PCG
-    #: (``repro.harmony.flooding.CompiledPCG``/``FloodingState``) —
-    #: int-interned pairs, parallel ``array('l')``/``array('d')`` edge
-    #: arrays, preallocated score buffers, the compiled structure cached
-    #: across runs on a (graph, revision, active-set) epoch.  Cold runs
-    #: are bit-identical to the reference fixpoints
-    #: (tests/harmony/test_flooding_compiled_differential.py)
-    compiled_flooding: bool = False
-    #: let :meth:`HarmonyEngine.rematch` patch the previous run's
-    #: MatchContext, cached voter scores and compiled PCG for the
-    #: elements an evolution actually touched, instead of rebuilding from
-    #: scratch.  Builds on ``reuse_context``; warm results are
-    #: differentially tested identical to a cold match on the evolved
-    #: schemas
-    incremental_rematch: bool = False
     #: populate the mapping matrix through the bulk
     #: :meth:`MappingMatrix.set_cells` path, and let the matcher tool
     #: publish one coalesced ``MappingMatrixEvent`` (``cells_updated``)
     #: instead of a ``MappingCellEvent`` per changed cell
     batched_matrix: bool = False
-    #: which :class:`~repro.harmony.flooding.SweepBackend` runs the
-    #: compiled flooding sweeps (classic and directional): ``"python"``
-    #: (the reference gather/scatter loop, zero dependencies),
-    #: ``"numpy"`` (vectorized ``np.bincount`` sweeps over zero-copy
-    #: views of the edge arrays — requires the ``fast`` extra), ``"c"``
-    #: (the compiled ``_csweep`` extension — built by ``pip install .``
-    #: with a C compiler, or runtime-compiled via cffi), or ``"auto"``
-    #: (probes c → numpy → python, silently falling back).  Only
-    #: consulted when ``compiled_flooding`` runs a fixpoint; backends
-    #: agree to ≤1e-12 (tests/harmony/test_sweep_backends.py)
-    sweep_backend: str = "python"
-    #: keep a persistent :class:`~repro.harmony.blocking.BlockingIndex`
-    #: next to the flooding state: per-element blocking keys are cached
-    #: across runs and, after an evolution, only the dirty closure is
-    #: re-keyed instead of rebuilding the inverted index from scratch —
-    #: retrieval is identical to a cold build
-    incremental_blocking: bool = False
-    #: serialize mapping matrices to blackboard RDF through the bulk
-    #: :func:`~repro.rdf.schema_rdf.serialize_matrix` path — precomputed
-    #: IRI interning plus one ``add_many``, and in delta mode a diff
-    #: against the stored cell set so re-serializing after a rematch
-    #: touches only changed cells (idempotent, no stale cell triples)
-    delta_matrix_rdf: bool = False
     #: add the dense hash-projection :class:`EmbeddingVoter` to the
     #: default voter panel (``repro.embed``: signed feature hashing over
     #: name tokens, subword n-grams and documentation terms, scored by
     #: cosine).  Off by default — and deliberately not yet part of
-    #: :meth:`fast`, which stays output-identical to the reference
-    #: pipeline; opt in per engine.  Ignored when an explicit voter list
-    #: is passed
+    #: :meth:`fast`; opt in per engine.  Ignored when an explicit voter
+    #: list is passed
     embedding: bool = False
     #: which :class:`~repro.embed.embedder.EmbedBackend` runs the
     #: embedding/ANN math (the embedding voter and
@@ -161,32 +118,16 @@ class EngineConfig:
     #: or ``"auto"`` (probes numpy → python, silently falling back).
     #: Backends agree to ≤1e-12 (tests/embed/)
     embed_backend: str = "python"
-    #: serialize evolved schemas to blackboard RDF through the delta
-    #: :func:`~repro.rdf.schema_rdf.serialize_schema` path — the term
-    #: level diff against ``TripleStore.subject_slice`` the matrix path
-    #: already uses, restricted (when the previous graph version is
-    #: known) to the elements the evolution actually touched, so
-    #: evolve→serialize is O(delta) instead of a whole-graph rewrite.
-    #: Consulted by :func:`~repro.workbench.evolution.evolve_and_rematch`
-    #: when it republishes the evolved schema
-    delta_schema_rdf: bool = False
 
     @classmethod
     def fast(cls, **overrides) -> "EngineConfig":
-        """The all-optimizations-on preset (see docs/performance.md)."""
+        """The interactive preset: blocking, context reuse, sparse
+        flooding and batched matrix writes (see docs/performance.md)."""
         defaults = dict(
             blocking=BlockingConfig(),
             reuse_context=True,
             sparse_flooding=True,
-            similarity_kernels=True,
-            sparse_tfidf=True,
-            compiled_flooding=True,
-            incremental_rematch=True,
             batched_matrix=True,
-            sweep_backend="auto",
-            incremental_blocking=True,
-            delta_matrix_rdf=True,
-            delta_schema_rdf=True,
             # embedding math rides the accelerated backend when present;
             # the voter and ANN blocking stay opt-in until their recall
             # gates have run on the caller's corpus (perf_smoke gates
@@ -378,20 +319,19 @@ class HarmonyEngine:
         #: re-run would compound weights, the over-crediting the paper's
         #: Section 4.3 warns about)
         self._consumed_decisions: set = set()
-        #: compiled-PCG cache for ``config.compiled_flooding`` (epoch-keyed,
-        #: patched incrementally after evolutions)
+        #: compiled-PCG cache for classic flooding (epoch-keyed, patched
+        #: incrementally after evolutions)
         self._flooding_state: Optional[FloodingState] = None
-        #: persistent blocking index for ``config.incremental_blocking``
-        #: (epoch-keyed key-set cache, patched after evolutions)
+        #: persistent blocking index (epoch-keyed key-set cache, patched
+        #: after evolutions)
         self._blocking_index: Optional[BlockingIndex] = None
-        #: persistent ANN blocking state (``strategy="ann"`` with
-        #: ``incremental_blocking``): per-element vectors plus per-family
-        #: LSH indexes, epoch-keyed and patched like ``_blocking_index``
+        #: persistent ANN blocking state (``strategy="ann"``): per-element
+        #: vectors plus per-family LSH indexes, epoch-keyed and patched
+        #: like ``_blocking_index``
         self._embedding_index: Optional[EmbeddingBlockingIndex] = None
-        #: resolved sweep backend, memoized per selector so ``auto``
-        #: probes importlib once per engine, not once per run
+        #: resolved sweep backend, memoized so the NumPy probe runs once
+        #: per engine, not once per run
         self._sweep_backend: Optional[SweepBackend] = None
-        self._sweep_backend_selector: Optional[str] = None
         #: how many times :meth:`rematch` patched state instead of
         #: rebuilding (tests and perf_smoke assert on it)
         self.rematch_patches: int = 0
@@ -425,8 +365,6 @@ class HarmonyEngine:
                 source,
                 target,
                 thesaurus=self.thesaurus,
-                use_kernels=self.config.similarity_kernels,
-                use_sparse_tfidf=self.config.sparse_tfidf,
                 corpus_snapshot=self.corpus_snapshot,
                 embed_backend=self.config.embed_backend,
                 embedding_snapshot=self.embedding_snapshot,
@@ -453,18 +391,15 @@ class HarmonyEngine:
         blocking_result: Optional[BlockingResult] = None
         if self.config.blocking is not None:
             blocker = CandidateBlocker(self.config.blocking)
-            if self.config.incremental_blocking:
-                if self.config.blocking.strategy == STRATEGY_ANN:
-                    if self._embedding_index is None:
-                        self._embedding_index = EmbeddingBlockingIndex()
-                    persistent = self._embedding_index
-                else:
-                    if self._blocking_index is None:
-                        self._blocking_index = BlockingIndex()
-                    persistent = self._blocking_index
-                blocking_result = blocker.candidates(context, persistent)
+            if self.config.blocking.strategy == STRATEGY_ANN:
+                if self._embedding_index is None:
+                    self._embedding_index = EmbeddingBlockingIndex()
+                persistent = self._embedding_index
             else:
-                blocking_result = blocker.candidates(context)
+                if self._blocking_index is None:
+                    self._blocking_index = BlockingIndex()
+                persistent = self._blocking_index
+            blocking_result = blocker.candidates(context, persistent)
             candidate_pairs = blocking_result.pairs
         else:
             candidate_pairs = context.candidate_pairs()
@@ -526,19 +461,18 @@ class HarmonyEngine:
           referrers), rebinding it onto the new graph objects;
         * drops cached voter scores touching the closure;
         * marks the structurally-dirty elements so the compiled PCG is
-          patched instead of recompiled (``compiled_flooding``);
+          patched instead of recompiled;
 
         and then runs a normal :meth:`match`.  Because the surviving
         caches are exactly the entries a cold run would recompute
         unchanged, the resulting matrix is identical to a cold match on
         the evolved schemas (asserted by the differential suite).  Falls
-        back to a full cold match when ``incremental_rematch`` /
-        ``reuse_context`` are off or no previous state fits.
+        back to a full cold match when ``reuse_context`` is off or no
+        previous state fits.
         """
         context = self._last_context
         if (
-            not self.config.incremental_rematch
-            or not self.config.reuse_context
+            not self.config.reuse_context
             or context is None
             or context.source.name != source.name
             or context.target.name != target.name
@@ -687,30 +621,20 @@ class HarmonyEngine:
         if mode == FLOODING_OFF or not scores:
             return dict(scores)
         if mode == FLOODING_DIRECTIONAL:
-            if self.config.compiled_flooding:
-                return directional_flooding_compiled(
-                    source, target, scores,
-                    config=self.config.directional, pinned=pinned,
-                    backend=self._resolve_backend(),
-                )
-            return directional_flooding(
-                source, target, scores, config=self.config.directional, pinned=pinned
+            return directional_flooding_compiled(
+                source, target, scores,
+                config=self.config.directional, pinned=pinned,
+                backend=self._resolve_backend(),
             )
         if mode == FLOODING_CLASSIC:
             positive = {pair: max(0.0, value) for pair, value in scores.items()}
             restrict_to = set(positive) if self.config.sparse_flooding else None
-            if self.config.compiled_flooding:
-                if self._flooding_state is None:
-                    self._flooding_state = FloodingState()
-                flooded = self._flooding_state.flood(
-                    source, target, positive, config=self.config.classic,
-                    restrict_to=restrict_to, backend=self._resolve_backend(),
-                )
-            else:
-                flooded = classic_flooding(
-                    source, target, positive, config=self.config.classic,
-                    restrict_to=restrict_to,
-                )
+            if self._flooding_state is None:
+                self._flooding_state = FloodingState()
+            flooded = self._flooding_state.flood(
+                source, target, positive, config=self.config.classic,
+                restrict_to=restrict_to, backend=self._resolve_backend(),
+            )
             blend = self.config.classic_blend
             out: Dict[Pair, float] = {}
             for pair, original in scores.items():
@@ -724,11 +648,10 @@ class HarmonyEngine:
         raise ValueError(f"unknown flooding mode {mode!r}")
 
     def _resolve_backend(self) -> SweepBackend:
-        """The configured :class:`SweepBackend`, memoized per selector."""
-        selector = self.config.sweep_backend
-        if self._sweep_backend is None or self._sweep_backend_selector != selector:
-            self._sweep_backend = resolve_sweep_backend(selector)
-            self._sweep_backend_selector = selector
+        """The platform's :class:`SweepBackend` (NumPy when importable),
+        memoized."""
+        if self._sweep_backend is None:
+            self._sweep_backend = resolve_sweep_backend("auto")
         return self._sweep_backend
 
     def voter_names(self) -> List[str]:
@@ -751,7 +674,7 @@ class HarmonyEngine:
         stats: Dict[str, object] = {
             "context_builds": self.context_builds,
             "rematch_patches": self.rematch_patches,
-            "sweep_backend": self._resolve_backend().name,
+            "sweep": self._resolve_backend().name,
             "flooding_compiles": flooding.compiles if flooding else 0,
             "flooding_patches": flooding.patches if flooding else 0,
             "flooding_hits": flooding.hits if flooding else 0,

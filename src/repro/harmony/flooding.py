@@ -8,16 +8,18 @@ negative confidence scores trickle down the schema graph.  Intuitively,
 two attributes are unlikely to match if their parent entities do not
 match."*
 
-Two algorithms live here, each in two executions:
+Two algorithms live here, each in two executions — a reference
+fixpoint kept as the test oracle (and for the SF-only baseline), and the
+compiled one the engine runs:
 
 * :func:`classic_flooding` — the original fixpoint computation over the
   pairwise connectivity graph, on [0,1] similarities.  Used standalone by
-  the SF-only baseline and available to the engine (bench A2 compares it
-  against the directional variant).
+  the SF-only baseline; the engine runs its compiled form (bench A2
+  compares it against the directional variant).
 * :func:`directional_flooding` — Harmony's asymmetric propagation over
   the containment hierarchy, on [-1,+1] confidences.
-* :class:`CompiledPCG` / :class:`FloodingState` — the compiled fast path
-  behind ``EngineConfig.compiled_flooding``: PCG pairs interned to
+* :class:`CompiledPCG` / :class:`FloodingState` — the compiled path the
+  engine runs for classic flooding: PCG pairs interned to
   contiguous int ids, edges stored as parallel ``array('l')`` index
   arrays with ``array('d')`` propagation coefficients, and the fixpoint
   run as index-gather/scatter sweeps over preallocated score buffers.
@@ -26,24 +28,20 @@ Two algorithms live here, each in two executions:
   keys the compiled structure on a (graph names, revisions, active-set)
   epoch and, after a schema evolution, patches only the PCG edges
   incident to the evolved elements instead of recompiling.
-* :class:`SweepBackend` and its three implementations — the sweep loops
-  themselves are pluggable (``EngineConfig.sweep_backend``).
-  :class:`PythonSweepBackend` is the pure-Python gather/scatter loop
-  (bit-identical to the reference, zero dependencies);
-  :class:`NumpySweepBackend` consumes the same ``array`` buffers
-  zero-copy via ``np.frombuffer`` and runs each sweep as one
+* :class:`SweepBackend` and its two implementations — the sweep loops
+  themselves are pluggable.  :class:`PythonSweepBackend` is the
+  pure-Python gather/scatter loop (bit-identical to the reference, zero
+  dependencies); :class:`NumpySweepBackend` consumes the same ``array``
+  buffers zero-copy via ``np.frombuffer`` and runs each sweep as one
   ``np.bincount`` scatter plus vectorized normalization and residual.
   ``bincount`` accumulates in edge order — the order the arrays were
   flattened in — so the NumPy sweep reproduces the Python backend's
   float arithmetic operation for operation (differentially tested to
-  1e-12; bit-identical in practice).  :class:`CSweepBackend` hands the
-  same buffers to the compiled cores in ``_csweep.c`` (the optional
-  setuptools extension, or a runtime cffi build of the same source) —
-  plain C replicas of the reference loops, statement for statement, so
-  they too are bit-identical.  :func:`resolve_sweep_backend` maps the
-  ``"auto" | "python" | "numpy" | "c"`` selector to a backend, probing
-  c → numpy → python on ``"auto"`` and degrading silently — the
-  accelerators stay optional extras, never hard dependencies.
+  1e-12; bit-identical in practice).  :func:`resolve_sweep_backend`
+  maps the ``"auto" | "python" | "numpy"`` selector to a backend; the
+  engine asks for ``"auto"``, which picks NumPy when it is importable
+  and degrades silently to the Python loop otherwise — NumPy stays an
+  optional extra, never a hard dependency.
 * :func:`directional_flooding_compiled` — the same up/down propagation
   over int-indexed parent/child arrays, bit-identical to the reference,
   routed through :meth:`SweepBackend.sweep_directional`.
@@ -387,12 +385,11 @@ class CompiledPCG:
         return result
 
 
-#: valid ``EngineConfig.sweep_backend`` / :func:`resolve_sweep_backend`
-#: selectors
-SWEEP_BACKENDS = ("auto", "python", "numpy", "c")
+#: valid :func:`resolve_sweep_backend` selectors
+SWEEP_BACKENDS = ("auto", "python", "numpy")
 
 #: concrete backend names, in ``"auto"``'s preference order
-_SWEEP_BACKEND_NAMES = ("c", "numpy", "python")
+_SWEEP_BACKEND_NAMES = ("numpy", "python")
 
 #: process-wide per-backend sweep-run counters — which backend actually
 #: executed each compiled fixpoint; surfaced via
@@ -435,8 +432,8 @@ class SweepBackend:
     ``array('d')`` score vector, parent ids with a CSR-style
     indptr/children pair, the (child, parent) down-sweep arrays and a
     pinned byte mask — and returns the final score vector.  The base
-    implementation here is the pure-Python reference loop; accelerated
-    backends may override it.
+    implementation here is the pure-Python reference loop, which both
+    backends run.
 
     The differential suite in ``tests/harmony/test_sweep_backends.py``
     holds every backend to ≤1e-12 agreement on both fixpoints.
@@ -452,16 +449,6 @@ class SweepBackend:
         config: FloodingConfig,
     ) -> Sequence[float]:
         raise NotImplementedError
-
-    #: backwards-compatible alias (the seam predates the directional port)
-    def sweep(
-        self,
-        compiled: CompiledPCG,
-        entries: List[Tuple[int, float]],
-        n: int,
-        config: FloodingConfig,
-    ) -> Sequence[float]:
-        return self.sweep_classic(compiled, entries, n, config)
 
     def sweep_directional(
         self,
@@ -603,10 +590,10 @@ class NumpySweepBackend(SweepBackend):
         self._np = module if module is not None else _probe_numpy()
         if self._np is None:
             raise ImportError(
-                "sweep_backend='numpy' requires NumPy, which is not "
+                "the numpy sweep backend requires NumPy, which is not "
                 "importable; install it with `pip install .[fast]` (or "
-                "`pip install numpy`), or use sweep_backend='auto' to fall "
-                "back to the pure-python sweep silently"
+                "`pip install numpy`), or resolve 'auto' to fall back to "
+                "the pure-python sweep silently"
             )
 
     def _edge_views(self, compiled: CompiledPCG):
@@ -658,216 +645,26 @@ class NumpySweepBackend(SweepBackend):
         return sigma.tolist()
 
 
-def _probe_csweep():
-    """Import the compiled ``_csweep`` extension if built, else ``None``
-    (never raises)."""
-    try:
-        from . import _csweep
-    except Exception:
-        return None
-    return _csweep
-
-
-#: memoized result of the one-time cffi build attempt — compiling is far
-#: too expensive to retry per resolve call
-_CFFI_CSWEEP = None
-_CFFI_CSWEEP_PROBED = False
-
-
-class _CffiSweepModule:
-    """Adapter giving a cffi build of ``_csweep.c`` the same two-function
-    surface as the compiled CPython extension."""
-
-    def __init__(self, ffi, lib) -> None:
-        self._ffi = ffi
-        self._lib = lib
-
-    def sweep_classic(self, src, dst, wts, sigma, max_iterations, epsilon):
-        ffi = self._ffi
-        status = self._lib.csweep_classic(
-            len(src),
-            ffi.from_buffer("long[]", src),
-            ffi.from_buffer("long[]", dst),
-            ffi.from_buffer("double[]", wts),
-            len(sigma),
-            max_iterations,
-            epsilon,
-            ffi.from_buffer("double[]", sigma, require_writable=True),
-        )
-        if status != 0:
-            raise MemoryError("csweep_classic allocation failed")
-
-    def sweep_directional(
-        self, current, up_parents, up_indptr, up_children,
-        down_child, down_parent, pinned, up_rate, down_rate, iterations,
-    ):
-        ffi = self._ffi
-        status = self._lib.csweep_directional(
-            len(current),
-            ffi.from_buffer("double[]", current, require_writable=True),
-            len(up_parents),
-            ffi.from_buffer("long[]", up_parents),
-            ffi.from_buffer("long[]", up_indptr),
-            ffi.from_buffer("long[]", up_children),
-            len(down_child),
-            ffi.from_buffer("long[]", down_child),
-            ffi.from_buffer("long[]", down_parent),
-            ffi.from_buffer("unsigned char[]", pinned),
-            up_rate,
-            down_rate,
-            iterations,
-        )
-        if status != 0:
-            raise MemoryError("csweep_directional allocation failed")
-
-
-def _cffi_csweep():
-    """Compile the ``_csweep.c`` cores with cffi at runtime.
-
-    The fallback when the prebuilt extension is absent but cffi and a C
-    compiler are available.  The build lands in a per-interpreter temp
-    directory and the (possibly failed) outcome is memoized for the
-    process.  Returns an adapter with the extension's two-function
-    surface, or ``None``; never raises.
-    """
-    global _CFFI_CSWEEP, _CFFI_CSWEEP_PROBED
-    if _CFFI_CSWEEP_PROBED:
-        return _CFFI_CSWEEP
-    _CFFI_CSWEEP_PROBED = True
-    try:
-        import importlib.util
-        import os
-        import sys
-        import tempfile
-
-        import cffi
-
-        here = os.path.dirname(os.path.abspath(__file__))
-        with open(os.path.join(here, "_csweep.c")) as handle:
-            source = handle.read()
-        ffi = cffi.FFI()
-        ffi.cdef(
-            """
-            int csweep_classic(long n_edges, const long *src, const long *dst,
-                               const double *wts, long n, long max_iterations,
-                               double epsilon, double *sigma);
-            int csweep_directional(long n, double *current, long n_up,
-                                   const long *up_parents,
-                                   const long *up_indptr,
-                                   const long *up_children, long n_down,
-                                   const long *down_child,
-                                   const long *down_parent,
-                                   const unsigned char *pinned,
-                                   double up_rate, double down_rate,
-                                   long iterations);
-            """
-        )
-        tag = "iw_csweep_cffi_py{}{}".format(*sys.version_info[:2])
-        ffi.set_source(tag, "#define CSWEEP_NO_PYTHON\n" + source)
-        tmpdir = os.path.join(tempfile.gettempdir(), tag)
-        os.makedirs(tmpdir, exist_ok=True)
-        lib_path = ffi.compile(tmpdir=tmpdir)
-        spec = importlib.util.spec_from_file_location(tag, lib_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        _CFFI_CSWEEP = _CffiSweepModule(module.ffi, module.lib)
-    except Exception:
-        _CFFI_CSWEEP = None
-    return _CFFI_CSWEEP
-
-
-class CSweepBackend(SweepBackend):
-    """Compiled-C sweeps over the same flat ``array`` buffers.
-
-    Both fixpoints run in ``_csweep.c``'s cores — line-for-line replicas
-    of the pure-Python reference loops (same edge-order accumulation,
-    normalization, residual and clamp arithmetic, no ``-ffast-math``) —
-    so results are bit-identical, not merely within tolerance.  The
-    binding is either the prebuilt ``repro.harmony._csweep`` extension
-    or a runtime cffi compile of the same source file.
-    """
-
-    name = "c"
-
-    def __init__(self, module=None) -> None:
-        if module is None:
-            module = _probe_csweep()
-            if module is None:
-                module = _cffi_csweep()
-        if module is None:
-            raise ImportError(
-                "sweep_backend='c' requires the compiled _csweep extension, "
-                "which is not importable; build it with `python setup.py "
-                "build_ext --inplace` or `pip install .` (both need a C "
-                "compiler — alternatively `pip install .[fast]` provides "
-                "cffi for a runtime build), or use sweep_backend='auto' to "
-                "fall back silently"
-            )
-        self._mod = module
-
-    def sweep_classic(
-        self,
-        compiled: CompiledPCG,
-        entries: List[Tuple[int, float]],
-        n: int,
-        config: FloodingConfig,
-    ) -> Sequence[float]:
-        sigma = array("d", bytes(8 * n))
-        for i, value in entries:
-            sigma[i] = value
-        if n:
-            self._mod.sweep_classic(
-                compiled.edge_src, compiled.edge_dst, compiled.edge_weight,
-                sigma, config.max_iterations, config.epsilon,
-            )
-        return sigma
-
-    def sweep_directional(
-        self,
-        current: array,
-        up_parents: array,
-        up_indptr: array,
-        up_children: array,
-        down_child: array,
-        down_parent: array,
-        pinned: bytearray,
-        config: "DirectionalConfig",
-    ) -> Sequence[float]:
-        if len(current):
-            self._mod.sweep_directional(
-                current, up_parents, up_indptr, up_children,
-                down_child, down_parent, pinned,
-                config.up_rate, config.down_rate, config.iterations,
-            )
-        return current
-
-
 #: process-wide singleton for the default backend — stateless, so safe
 #: to share across engines and threads
 PYTHON_SWEEP_BACKEND = PythonSweepBackend()
 
 
 def resolve_sweep_backend(selector: str = "python") -> SweepBackend:
-    """Map an ``EngineConfig.sweep_backend`` selector to a backend.
+    """Map a sweep-backend selector to a backend.
 
-    ``"python"`` returns the shared pure-Python backend.  ``"numpy"``
-    and ``"c"`` require their accelerator and raise an actionable
-    :class:`ImportError` naming the install remedy when it is missing.
-    ``"auto"`` probes c → numpy → python and silently falls back (the
-    package keeps zero hard dependencies): the C backend is preferred
-    when its prebuilt extension is importable, NumPy next, and the
-    pure-python loop always works.
+    ``"python"`` returns the shared pure-Python backend, the reference
+    the tests compare against.  ``"numpy"`` requires NumPy and raises an
+    actionable :class:`ImportError` naming the install remedy when it is
+    missing.  ``"auto"`` — what the engine runs — picks NumPy when it is
+    importable and silently falls back to the pure-python loop (the
+    package keeps zero hard dependencies).
     """
     if selector == "python":
         return PYTHON_SWEEP_BACKEND
     if selector == "numpy":
         return NumpySweepBackend()
-    if selector == "c":
-        return CSweepBackend()
     if selector == "auto":
-        csweep = _probe_csweep()
-        if csweep is not None:
-            return CSweepBackend(csweep)
         module = _probe_numpy()
         if module is not None:
             return NumpySweepBackend(module)

@@ -20,8 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ...core.elements import CONTAINER_KINDS, ElementKind, SchemaElement
 from ...core.graph import SchemaGraph
 from ...embed import EmbedConfig, EmbeddingSnapshot, HashEmbedder, resolve_embed_backend
-from ...text import kernels as similarity_kernels
-from ...text import similarity as similarity_reference
+from ...text import kernels
 from ...text.stemmer import stem, stem_all
 from ...text.stopwords import remove_stop_words
 from ...text.tfidf import CorpusSnapshot, TfIdfCorpus, preprocess
@@ -44,8 +43,6 @@ class MatchContext:
         source: SchemaGraph,
         target: SchemaGraph,
         thesaurus: Optional[Thesaurus] = None,
-        use_kernels: bool = False,
-        use_sparse_tfidf: bool = False,
         corpus_snapshot: Optional[CorpusSnapshot] = None,
         embed_backend: str = "python",
         embed_config: Optional[EmbedConfig] = None,
@@ -54,25 +51,16 @@ class MatchContext:
         self.source = source
         self.target = target
         self.thesaurus = thesaurus if thesaurus is not None else Thesaurus.default()
-        #: the string-measure namespace voters score through — the
-        #: reference module by default, the optimized kernels when the
-        #: engine runs with ``EngineConfig.similarity_kernels`` (the
-        #: differential harness proves the two agree to 1e-12).
-        self.use_kernels = use_kernels
-        self.sim = similarity_kernels if use_kernels else similarity_reference
-        #: documentation-cosine memo (kernel path only): entries are keyed
-        #: on the *ordered* doc-id pair (dict-order float summation makes
-        #: cosine only approximately symmetric) and die with the context
-        #: or with a word-weight revision bump.
-        self._cosine_cache: Dict[Tuple[str, str], float] = {}
-        self._cosine_weights_rev: Optional[int] = None
+        #: the string-measure namespace voters score through: the
+        #: memoized kernels, held to the reference ``repro.text.similarity``
+        #: at 1e-12 by tests/text/test_kernels_differential.py
+        self.sim = kernels
         self.corpus = TfIdfCorpus()
-        #: the sparse TF-IDF engine (``EngineConfig.sparse_tfidf``): the
-        #: documentation voter then scores through one postings-driven
-        #: ``all_pairs`` sweep instead of a dict cosine per pair.
-        self.sparse: Optional[SparseTfIdf] = (
-            SparseTfIdf(self.corpus) if use_sparse_tfidf else None
-        )
+        #: the sparse TF-IDF engine: the documentation voter scores
+        #: through one postings-driven ``all_pairs`` sweep instead of a
+        #: dict cosine per pair (held to ``TfIdfCorpus.cosine`` at 1e-12
+        #: by tests/text/test_tfidf_sparse_differential.py)
+        self.sparse = SparseTfIdf(self.corpus)
         #: cross-schema similarity table from ``SparseTfIdf.all_pairs``;
         #: pairs absent from it have cosine exactly 0.0.  Invalidated by
         #: either corpus revision counter moving.
@@ -197,33 +185,29 @@ class MatchContext:
         return self._doc_id(graph, element)
 
     def cosine(self, doc_a: str, doc_b: str) -> float:
-        """Documentation cosine, memoized on the kernel path.
+        """Documentation cosine, served from the ``all_pairs`` table.
 
-        The memo is invalidated wholesale when the corpus's learned word
-        weights move (``weights_revision``) or the document set changes
+        One postings sweep scores every cross-schema pair sharing
+        vocabulary, and absent pairs are exactly 0.0.  The table is
+        rebuilt when the corpus's learned word weights move
+        (``weights_revision``) or the document set changes
         (``revision``), mirroring the engine's score-cache invalidation
-        rule for ``uses_word_weights`` voters.  With the sparse engine
-        enabled the memo *is* the ``all_pairs`` table: one postings
-        sweep scores every cross-schema pair sharing vocabulary, and
-        absent pairs are exactly 0.0.
+        rule for ``uses_word_weights`` voters.
         """
-        if self.sparse is not None:
-            return self._sparse_cosine(doc_a, doc_b)
-        if not self.use_kernels:
-            return self.corpus.cosine(doc_a, doc_b)
-        revision = (self.corpus.weights_revision, self.corpus.revision)
-        if revision != self._cosine_weights_rev:
-            self._cosine_cache.clear()
-            self._cosine_weights_rev = revision
-        key = (doc_a, doc_b)
-        value = self._cosine_cache.get(key)
+        table = self.warm_pair_sims()
+        value = table.get((doc_a, doc_b))
         if value is None:
-            similarity_kernels.note_cache_event("cosine", hit=False)
-            value = self.corpus.cosine(doc_a, doc_b)
-            self._cosine_cache[key] = value
-        else:
-            similarity_kernels.note_cache_event("cosine", hit=True)
-        return value
+            value = table.get((doc_b, doc_a))
+        if value is not None:
+            kernels.note_cache_event("cosine", hit=True)
+            return value
+        kernels.note_cache_event("cosine", hit=False)
+        if (doc_a in self._source_docs) != (doc_b in self._source_docs):
+            # cross-schema pair missing from the table: shares no term
+            return 0.0
+        # same-group lookup (self-match, within-schema probes): the table
+        # never holds these, so fall back to the sorted-merge cosine.
+        return self.sparse.cosine(doc_a, doc_b)
 
     def warm_pair_sims(self) -> Dict[Tuple[str, str], float]:
         """Build (or reuse) the sparse cross-schema similarity table.
@@ -231,7 +215,6 @@ class MatchContext:
         The documentation voter calls this from ``prepare`` so the one
         ``all_pairs`` sweep happens before (possibly parallel) scoring.
         """
-        assert self.sparse is not None
         revision = (self.corpus.weights_revision, self.corpus.revision)
         if self._pair_sims is None or self._pair_sims_rev != revision:
             source_docs = self._source_docs
@@ -240,22 +223,6 @@ class MatchContext:
             )
             self._pair_sims_rev = revision
         return self._pair_sims
-
-    def _sparse_cosine(self, doc_a: str, doc_b: str) -> float:
-        table = self.warm_pair_sims()
-        value = table.get((doc_a, doc_b))
-        if value is None:
-            value = table.get((doc_b, doc_a))
-        if value is not None:
-            similarity_kernels.note_cache_event("cosine", hit=True)
-            return value
-        similarity_kernels.note_cache_event("cosine", hit=False)
-        if (doc_a in self._source_docs) != (doc_b in self._source_docs):
-            # cross-schema pair missing from the table: shares no term
-            return 0.0
-        # same-group lookup (self-match, within-schema probes): the table
-        # never holds these, so fall back to the sorted-merge cosine.
-        return self.sparse.cosine(doc_a, doc_b)
 
     def graph_of(self, element: SchemaElement) -> SchemaGraph:
         """Which of the two graphs owns this element."""

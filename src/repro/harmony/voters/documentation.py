@@ -22,17 +22,15 @@ class DocumentationVoter(MatchVoter):
     uses_word_weights = True
 
     def prepare(self, context: MatchContext) -> None:
-        """With the sparse TF-IDF engine enabled, score every
-        cross-schema pair sharing vocabulary in one postings sweep
-        (``SparseTfIdf.all_pairs``) before per-pair scoring starts —
-        ``score`` then only does table lookups, and pairs absent from
-        the table have cosine exactly 0.0.  The sweep itself routes
-        through the corpus's ``all_pairs_backend`` seam: a NumPy CSR
-        matmul when NumPy is importable, the dependency-free postings
-        merge otherwise — same probe-once/auto-fallback discipline as
-        the flooding sweep's backend selector."""
-        if context.sparse is not None:
-            context.warm_pair_sims()
+        """Score every cross-schema pair sharing vocabulary in one
+        postings sweep (``SparseTfIdf.all_pairs``) before per-pair
+        scoring starts — ``score`` then only does table lookups, and
+        pairs absent from the table have cosine exactly 0.0.  The sweep
+        itself routes through the corpus's ``all_pairs_backend`` seam: a
+        NumPy CSR matmul when NumPy is importable, the dependency-free
+        postings merge otherwise — same probe-once/auto-fallback
+        discipline as the flooding sweep's backend selector."""
+        context.warm_pair_sims()
 
     def applicable(self, source: SchemaElement, target: SchemaElement) -> bool:
         return source.has_documentation and target.has_documentation

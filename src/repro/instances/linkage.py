@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from ..text import kernels, similarity
+from ..text import kernels
 from .documents import Record, RecordSet, normalize_value
 
 
@@ -32,25 +32,24 @@ class LinkageConfig:
     threshold: float = 0.8
     #: attributes to ignore entirely (identifiers, timestamps)
     exclude: Set[str] = field(default_factory=set)
-    #: score string fields through the memoized ``repro.text.kernels`` —
-    #: field values (cities, status codes, names) recur across records,
-    #: so the token cache pays off; differentially proven identical to
-    #: the reference measures, hence on by default
-    use_kernels: bool = True
 
 
-def field_similarity(a: Any, b: Any, use_kernels: bool = False) -> float:
-    """Similarity of two field values in [0,1]."""
+def field_similarity(a: Any, b: Any) -> float:
+    """Similarity of two field values in [0,1].
+
+    Strings score through the memoized ``repro.text.kernels``: field
+    values (cities, status codes, names) recur across records, so the
+    token cache pays off.
+    """
     if a is None or b is None:
         return 0.0
     a_n, b_n = normalize_value(a), normalize_value(b)
     if a_n == b_n:
         return 1.0
     if isinstance(a_n, str) and isinstance(b_n, str):
-        measures = kernels if use_kernels else similarity
         return max(
-            measures.jaro_winkler_similarity(a_n, b_n),
-            measures.edit_similarity(a_n, b_n),
+            kernels.jaro_winkler_similarity(a_n, b_n),
+            kernels.edit_similarity(a_n, b_n),
         )
     try:
         fa, fb = float(a_n), float(b_n)
@@ -77,9 +76,7 @@ def record_similarity(
         if a.get(key) is None and b.get(key) is None:
             continue
         weight = config.weights.get(key, 1.0)
-        total += weight * field_similarity(
-            a.get(key), b.get(key), use_kernels=config.use_kernels
-        )
+        total += weight * field_similarity(a.get(key), b.get(key))
         weight_sum += weight
     if weight_sum == 0.0:
         return 0.0

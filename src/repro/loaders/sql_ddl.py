@@ -397,6 +397,8 @@ class SqlDdlLoader(SchemaLoader):
         table_ids = {}
         for table in tables:
             table_id = f"{name}/{table.name}"
+            if table_id in graph:
+                raise LoaderError(f"duplicate table {table.name!r}", line=table.line)
             table_ids[table.name.lower()] = table_id
             doc = table.documentation or comment_by_line.before(table.line)
             graph.add_child(
@@ -405,6 +407,11 @@ class SqlDdlLoader(SchemaLoader):
             )
             for column in table.columns:
                 col_id = f"{table_id}/{column.name}"
+                if col_id in graph:
+                    raise LoaderError(
+                        f"duplicate column {column.name!r} in table {table.name!r}",
+                        line=column.line,
+                    )
                 element = SchemaElement(
                     col_id,
                     column.name,

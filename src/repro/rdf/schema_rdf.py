@@ -589,7 +589,7 @@ def matrix_to_rdf(matrix: MappingMatrix, store: TripleStore) -> IRI:
 def serialize_matrix(
     matrix: MappingMatrix, store: TripleStore, delta: bool = False
 ) -> IRI:
-    """Bulk matrix serialization (the ``EngineConfig.delta_matrix_rdf`` path).
+    """Bulk matrix serialization (the path every match write takes).
 
     Both modes are idempotent and produce the same stored matrix state
     as :func:`matrix_to_rdf`:

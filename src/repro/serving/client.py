@@ -122,8 +122,8 @@ class WorkbenchClient:
 
 #: job kinds whose parameters survive JSON — what wire transports accept
 WIRE_KINDS = (
-    "load_schema", "match", "evolve", "query", "update_cell", "cell",
-    "get_matrix", "ping",
+    "load_schema", "match", "query", "update_cell", "cell", "get_matrix",
+    "ping",
 )
 
 
@@ -136,14 +136,6 @@ def _jsonify(result: Any) -> Any:
             "columns": len(result.column_ids),
             "cells": result.cell_count(),
         }
-    if isinstance(result, RematchReport):
-        return {
-            "axes_removed": len(result.axes_removed),
-            "axes_added": len(result.axes_added),
-            "suggestions_reset": len(result.suggestions_reset),
-            "decisions_kept": len(result.decisions_kept),
-            "decisions_lost": len(result.decisions_lost),
-        }
     if isinstance(result, tuple):
         return [_jsonify(item) for item in result]
     if isinstance(result, list):
@@ -151,7 +143,7 @@ def _jsonify(result: Any) -> Any:
     return result
 
 
-def _error(error: BaseException) -> Dict[str, Any]:
+def _error(error: Exception) -> Dict[str, Any]:
     response: Dict[str, Any] = {
         "ok": False,
         "error": type(error).__name__,
@@ -204,7 +196,7 @@ def handle_request(server: WorkbenchServer,
                 return {"ok": False, "error": "Timeout",
                         "message": "job still running",
                         "status": job.status.value}
-            except BaseException as error:  # noqa: BLE001 — wire isolation
+            except Exception as error:  # noqa: BLE001 — wire isolation
                 server.forget(job.job_id)
                 response = _error(error)
                 response["status"] = job.status.value
@@ -218,5 +210,5 @@ def handle_request(server: WorkbenchServer,
         if op == "stats":
             return {"ok": True, "stats": server.stats()}
         raise ServingError(f"unknown op {op!r}")
-    except BaseException as error:  # noqa: BLE001 — wire isolation
+    except Exception as error:  # noqa: BLE001 — wire isolation
         return _error(error)

@@ -301,12 +301,9 @@ class WorkbenchServer:
         else:
             session.engine().match(source, target, matrix=matrix)
         self._check_cancel(job)
-        engine_config = self.config.resolved_engine_config()
         blackboard = session.manager.blackboard
         with session.manager.transaction():
-            blackboard.put_matrix(
-                matrix,
-                delta=getattr(engine_config, "delta_matrix_rdf", False))
+            blackboard.put_matrix(matrix, delta=True)
             session.manager.events.publish(MappingMatrixEvent(
                 source_tool=_SERVING_TOOL, matrix_name=matrix.name,
                 cells_updated=matrix.cell_count()))
@@ -337,13 +334,9 @@ class WorkbenchServer:
         matrix.name = matrix_name
         report = apply_evolution(
             matrix, diff, side=side, schema_name=new_graph.name)
-        engine_config = self.config.resolved_engine_config()
         self._check_cancel(job)
         with session.manager.transaction():
-            blackboard.put_schema(
-                new_graph,
-                delta=getattr(engine_config, "delta_schema_rdf", False),
-                previous=old_graph)
+            blackboard.put_schema(new_graph, delta=True, previous=old_graph)
             blackboard.put_matrix(matrix)
             session.manager.events.publish(SchemaGraphEvent(
                 source_tool=_SERVING_TOOL, schema_name=new_graph.name))

@@ -4,9 +4,8 @@ Drop-in mirrors of the hot functions in :mod:`repro.text.similarity`,
 which stays the clarity-first **reference oracle**.  The differential
 harness (``tests/text/test_kernels_differential.py``) proves the two
 agree to within 1e-12 on hypothesis-generated inputs and on a frozen
-golden corpus of real schema tokens, so the Harmony engine can switch
-between them (``EngineConfig.similarity_kernels``) without moving a
-single F1 digit.
+golden corpus of real schema tokens, so the Harmony engine scores
+through them without moving a single F1 digit.
 
 What makes these fast:
 

@@ -107,10 +107,10 @@ class IntegrationBlackboard:
     def put_matrix(self, matrix: MappingMatrix, delta: bool = False) -> IRI:
         """Write (or replace) a whole mapping matrix.
 
-        With ``delta=True`` (the ``EngineConfig.delta_matrix_rdf`` path)
-        the write diffs against the stored cell set and touches only
-        changed triples — idempotent either way, never leaving stale
-        cells behind.
+        With ``delta=True`` (what every match write uses) the write
+        diffs against the stored cell set and touches only changed
+        triples — idempotent either way, never leaving stale cells
+        behind.  ``delta=False`` suits whole-object loads.
         """
         return schema_rdf.serialize_matrix(matrix, self.store, delta=delta)
 

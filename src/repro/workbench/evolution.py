@@ -141,17 +141,8 @@ def evolve_and_rematch(
     blackboard = manager.blackboard
     matrix = blackboard.get_matrix(matrix_name)
     report = apply_evolution(matrix, diff, side=side, schema_name=new_graph.name)
-    delta_schema = False
-    try:
-        tool = manager.tool(matcher_tool)
-    except Exception:
-        tool = None
-    engine = getattr(tool, "engine", None)
-    config = getattr(engine, "config", None)
-    if config is not None:
-        delta_schema = bool(getattr(config, "delta_schema_rdf", False))
     with manager.transaction():
-        blackboard.put_schema(new_graph, delta=delta_schema, previous=old_graph)
+        blackboard.put_schema(new_graph, delta=True, previous=old_graph)
         blackboard.put_matrix(matrix)
     if report.needs_rematch:
         source_schema = new_graph.name if side == "source" else other_schema

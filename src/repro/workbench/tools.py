@@ -103,10 +103,10 @@ class MatcherTool(Tool):
         """Run the engine over the named schemas.
 
         *evolution* (a ``SchemaDiff``, forwarded by ``evolve_and_rematch``)
-        signals that this invocation follows a schema change; with
-        ``EngineConfig.incremental_rematch`` enabled the engine then goes
-        through :meth:`HarmonyEngine.rematch`, which self-diffs against
-        its cached state and patches instead of rebuilding.  The engine
+        signals that this invocation follows a schema change; the engine
+        then goes through :meth:`HarmonyEngine.rematch`, which self-diffs
+        against its cached state and patches instead of rebuilding.  The
+        engine
         diffs for itself, so the hint being stale or partial cannot
         corrupt results — at worst it costs a cold rebuild.
         """
@@ -123,17 +123,13 @@ class MatcherTool(Tool):
             (c.source_id, c.target_id): (c.confidence, c.is_user_defined)
             for c in matrix.cells()
         }
-        incremental = getattr(self.engine.config, "incremental_rematch", False)
         with manager.transaction():
-            if incremental and evolution is not None:
+            if evolution is not None:
                 self.engine.rematch(source, target, matrix=matrix)
             else:
                 self.engine.match(source, target, matrix=matrix)
-            blackboard.put_matrix(
-                matrix,
-                delta=getattr(self.engine.config, "delta_matrix_rdf", False),
-            )
-            if getattr(self.engine.config, "batched_matrix", False):
+            blackboard.put_matrix(matrix, delta=True)
+            if self.engine.config.batched_matrix:
                 cells_updated = sum(
                     1
                     for cell in matrix.cells()

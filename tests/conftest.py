@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.core import ElementKind, MappingMatrix, SchemaElement, SchemaGraph
-from repro.loaders import load_sql, load_xsd
+from repro.loaders import load_registry, load_sql, load_xsd
+from repro.registry import RegistryProfile, generate_registry
+
+#: Matrices ``HarmonyEngine(EngineConfig(flooding=...))`` wrote before
+#: the engine lost its reference match path (dict TF-IDF cosine,
+#: ``repro.text.similarity`` measures, uncompiled flooding fixpoints).
+#: Keys are ``"<pair>/<flooding mode>"`` with pairs ``orders_notice``
+#: (the fixtures below) and ``registry_small`` (:func:`registry_pair`);
+#: values are ``[source_id, target_id, confidence]`` rows.  Frozen: the
+#: production path is checked against it, so never regenerate it from
+#: that path.
+GOLDEN_ENGINE_PATH = os.path.join(
+    os.path.dirname(__file__), "golden_engine_matrices.json")
 
 
 @pytest.fixture
@@ -149,3 +164,32 @@ def orders_ddl_text() -> str:
 @pytest.fixture
 def notice_xsd_text() -> str:
     return NOTICE_XSD
+
+
+@pytest.fixture
+def registry_pair():
+    """A small registry-generated schema pair (11 and 20 elements)."""
+    profile = RegistryProfile(model_count=2, elements_per_model=3,
+                              attributes_per_element=4,
+                              domain_values_per_attribute=0.5)
+    loaded = load_registry(
+        generate_registry(seed=7, scale=1.0, profile=profile, name="golden"))
+    return loaded.schemas[0], loaded.schemas[1]
+
+
+@pytest.fixture
+def assert_engine_golden():
+    """``check(case, matrix, tolerance)``: *matrix* holds exactly the
+    golden cells of *case*, each confidence within *tolerance*."""
+    with open(GOLDEN_ENGINE_PATH) as handle:
+        golden = json.load(handle)
+
+    def check(case, matrix, tolerance):
+        want = {(s, t): value for s, t, value in golden[case]}
+        got = {(c.source_id, c.target_id): c.confidence
+               for c in matrix.cells()}
+        assert got.keys() == want.keys(), case
+        for pair, value in want.items():
+            assert abs(got[pair] - value) <= tolerance, (case, pair)
+
+    return check

@@ -7,7 +7,7 @@ are the edge-array mirrors the fast path runs on (interned int ids,
 parallel ``array('l')``/``array('d')`` edge arrays, preallocated
 buffers).
 
-This file is what lets the engine flip between them without a
+This file is what lets the engine run only the compiled path without a
 correctness argument in prose:
 
 * cold compiled runs are *bit-identical* to the reference — the edge
@@ -20,7 +20,9 @@ correctness argument in prose:
   reassociation);
 * warm-start semantics: a warm run reuses *structure only* and always
   iterates from σ⁰, so after any evolution the engine's warm rematch
-  matrix equals a cold engine's matrix on the evolved schemas.
+  matrix equals a cold engine's matrix on the evolved schemas;
+* an engine under classic flooding reproduces, to ``TOLERANCE``, the
+  frozen matrices of the engine that ran the reference fixpoint.
 """
 
 import random
@@ -302,6 +304,20 @@ def _structure_of(compiled):
         }
         for node, by_label in compiled.out_by_label.items()
     }
+
+
+class TestEngineGolden:
+    def test_orders_notice_classic(
+        self, orders_graph, notice_graph, assert_engine_golden
+    ):
+        engine = HarmonyEngine(config=EngineConfig(flooding="classic"))
+        run = engine.match(orders_graph, notice_graph)
+        assert_engine_golden("orders_notice/classic", run.matrix, TOLERANCE)
+
+    def test_registry_pair_classic(self, registry_pair, assert_engine_golden):
+        engine = HarmonyEngine(config=EngineConfig(flooding="classic"))
+        run = engine.match(*registry_pair)
+        assert_engine_golden("registry_small/classic", run.matrix, TOLERANCE)
 
 
 class TestIncrementalPatch:

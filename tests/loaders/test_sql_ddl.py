@@ -60,6 +60,16 @@ class TestBasicParsing:
         with pytest.raises(LoaderError):
             load_sql("SELECT 1;")
 
+    @pytest.mark.parametrize("ddl,line", [
+        ("CREATE TABLE t (a INT, a INT);", 1),
+        ("CREATE TABLE t (\n  a INT,\n  b INT,\n  a TEXT\n);", 4),
+        ("CREATE TABLE t (a INT);\nCREATE TABLE t (b INT);", 2),
+    ], ids=["column", "column-on-later-line", "table"])
+    def test_duplicate_definition_is_a_loader_error(self, ddl, line):
+        with pytest.raises(LoaderError, match="duplicate") as raised:
+            load_sql(ddl)
+        assert raised.value.line == line
+
     def test_graph_validates(self, orders_graph):
         assert orders_graph.validate() == []
 

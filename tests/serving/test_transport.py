@@ -1,5 +1,7 @@
 """The transport seam: the JSON gateway, and the TCP framing around it."""
 
+from concurrent.futures import CancelledError
+
 import pytest
 
 from repro.serving import (
@@ -57,6 +59,61 @@ class TestGateway:
             "params": {}})
         assert not response["ok"]
         assert "not wire-transportable" in response["message"]
+
+    def test_evolve_is_not_a_wire_kind(self, make_server):
+        """JSON cannot carry the evolved graph, so the gateway refuses
+        the kind up front instead of failing inside the job."""
+        server = make_server()
+        response = handle_request(server, {
+            "op": "submit", "session": "s", "kind": "evolve",
+            "params": {"new_graph": "s", "matrix_name": "s->t"}})
+        assert not response["ok"]
+        assert response["error"] == "ServingError"
+        assert "not wire-transportable" in response["message"]
+        assert server.stats()["submitted"] == 0
+
+    def test_keyboard_interrupt_propagates(self, make_server, monkeypatch):
+        server = make_server()
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(server, "stats", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            handle_request(server, {"op": "stats"})
+
+    def test_keyboard_interrupt_in_job_propagates(self, make_server,
+                                                   monkeypatch):
+        server = make_server()
+
+        def interrupted(session, job):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(server._handlers, "ping", interrupted)
+        submitted = handle_request(server, {
+            "op": "submit", "session": "s", "kind": "ping", "params": {}})
+        with pytest.raises(KeyboardInterrupt):
+            handle_request(server, {"op": "result",
+                                    "job_id": submitted["job_id"],
+                                    "timeout": 5})
+
+    def test_cancelled_future_answers_cancelled_error(self, make_server,
+                                                      monkeypatch):
+        """A job whose inner future was cancelled (a process-pool match
+        shed at shutdown) still answers inline, not by raising."""
+        server = make_server()
+
+        def cancelled(session, job):
+            raise CancelledError()
+
+        monkeypatch.setitem(server._handlers, "ping", cancelled)
+        submitted = handle_request(server, {
+            "op": "submit", "session": "s", "kind": "ping", "params": {}})
+        outcome = handle_request(server, {"op": "result",
+                                          "job_id": submitted["job_id"],
+                                          "timeout": 5})
+        assert outcome["ok"] is False
+        assert outcome["error"] == "CancelledError"
 
     def test_unknown_op_is_an_error_response(self, make_server):
         server = make_server()

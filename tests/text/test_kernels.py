@@ -151,31 +151,23 @@ class TestCacheStatisticsApi:
 
 class TestContextCosineCache:
     def test_cosine_memoized_and_invalidated(self, orders_graph, notice_graph):
-        context = MatchContext(orders_graph, notice_graph, use_kernels=True)
+        context = MatchContext(orders_graph, notice_graph)
         doc_a = context.doc_id(orders_graph, orders_graph.get("orders/customer/first_name"))
         doc_b = context.doc_id(notice_graph, notice_graph.get(
             "notice/shippingNotice/recipientName/firstName"))
         first = context.cosine(doc_a, doc_b)
+        table = context.warm_pair_sims()
         assert context.cosine(doc_a, doc_b) == first
-        assert kernels.cache_stats()["cosine"]["hits"] == 1
-        # word-weight learning bumps the revision: memo must drop
+        assert context.warm_pair_sims() is table
+        assert kernels.cache_stats()["cosine"]["hits"] == 2
+        # word-weight learning bumps the revision: the table must rebuild
         context.corpus.adjust_weight("given", 2.0)
         fresh = context.cosine(doc_a, doc_b)
-        assert kernels.cache_stats()["cosine"]["misses"] == 2
-        assert fresh == context.corpus.cosine(doc_a, doc_b)
-
-    def test_reference_context_bypasses_memo(self, orders_graph, notice_graph):
-        context = MatchContext(orders_graph, notice_graph)  # kernels off
-        doc_a = context.doc_id(orders_graph, orders_graph.get("orders/customer/first_name"))
-        doc_b = context.doc_id(notice_graph, notice_graph.get(
-            "notice/shippingNotice/recipientName/firstName"))
-        context.cosine(doc_a, doc_b)
-        stats = kernels.cache_stats()["cosine"]
-        assert stats["hits"] == 0 and stats["misses"] == 0
+        assert context.warm_pair_sims() is not table
+        assert abs(fresh - context.corpus.cosine(doc_a, doc_b)) <= 1e-12
 
     def test_context_sim_namespace(self, orders_graph, notice_graph):
-        assert MatchContext(orders_graph, notice_graph).sim is reference
-        assert MatchContext(orders_graph, notice_graph, use_kernels=True).sim is kernels
+        assert MatchContext(orders_graph, notice_graph).sim is kernels
 
 
 class TestBoundedKernels:

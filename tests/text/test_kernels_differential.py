@@ -6,8 +6,9 @@ match path runs on.  This harness is what lets the engine flip between
 them without a correctness argument in prose: hypothesis-driven property
 tests plus a frozen golden corpus of real schema tokens (the A12-large
 registry pair and the orders/shippingNotice case-study pair) assert the
-two agree to within ``TOLERANCE`` on every pair, and that an engine run
-with ``similarity_kernels=True`` produces the identical mapping matrix.
+two agree to within ``TOLERANCE`` on every pair, and an engine run (which
+scores through the kernels) reproduces the frozen matrix of the engine
+that scored through the reference.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harmony import EngineConfig, HarmonyEngine
+from repro.harmony import HarmonyEngine
 from repro.text import kernels, similarity as reference
 
 #: the acceptance bound; in practice the kernels are bitwise identical
@@ -163,22 +164,11 @@ class TestGoldenCorpus:
 
 
 class TestEngineEquivalence:
-    """Flipping ``similarity_kernels`` must not move a single confidence."""
+    """The engine scores through the kernels; its matrix must match the
+    frozen matrix of the reference-measure engine."""
 
-    def test_kernel_run_bit_identical(self, orders_graph, notice_graph):
-        plain = HarmonyEngine().match(orders_graph, notice_graph)
-        kerneled = HarmonyEngine(
-            config=EngineConfig(similarity_kernels=True)
-        ).match(orders_graph, notice_graph)
-        plain_cells = {(c.source_id, c.target_id): c.confidence
-                       for c in plain.matrix.cells()}
-        kernel_cells = {(c.source_id, c.target_id): c.confidence
-                        for c in kerneled.matrix.cells()}
-        assert plain_cells.keys() == kernel_cells.keys()
-        for pair, confidence in plain_cells.items():
-            assert abs(confidence - kernel_cells[pair]) <= TOLERANCE, pair
-
-    def test_fast_preset_enables_kernels(self):
-        assert EngineConfig.fast().similarity_kernels is True
-        assert EngineConfig().similarity_kernels is False
-        assert EngineConfig.fast(similarity_kernels=False).similarity_kernels is False
+    def test_kernel_run_bit_identical(
+        self, orders_graph, notice_graph, assert_engine_golden
+    ):
+        run = HarmonyEngine().match(orders_graph, notice_graph)
+        assert_engine_golden("orders_notice/directional", run.matrix, TOLERANCE)

@@ -11,7 +11,8 @@ engine flip between the two without a correctness argument in prose:
 hypothesis-generated corpora plus the frozen golden schema corpus assert
 agreement to within ``TOLERANCE`` on every pair, the postings-driven
 ``all_pairs`` / ``top_k_similar`` contracts hold exactly, and an engine
-run with ``sparse_tfidf=True`` produces the identical mapping matrix.
+run (which scores through the sparse engine) reproduces the frozen
+matrix of the engine that scored through the dict cosine.
 """
 
 import json
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harmony import EngineConfig, HarmonyEngine
+from repro.harmony import HarmonyEngine
 from repro.text import SparseTfIdf, TfIdfCorpus
 from repro.text import tfidf_sparse as tfidf_sparse_mod
 from repro.text.tfidf_sparse import (
@@ -315,33 +316,9 @@ class TestAllPairsBackends:
 
 
 class TestEngineEquivalence:
-    """Flipping ``sparse_tfidf`` must not move a single confidence."""
+    """The engine scores documentation through the sparse engine; its
+    matrix must match the frozen matrix of the dict-cosine engine."""
 
-    def test_sparse_run_matrix_identical(self, orders_graph, notice_graph):
-        plain = HarmonyEngine().match(orders_graph, notice_graph)
-        sparse = HarmonyEngine(
-            config=EngineConfig(sparse_tfidf=True)
-        ).match(orders_graph, notice_graph)
-        plain_cells = {(c.source_id, c.target_id): c.confidence
-                       for c in plain.matrix.cells()}
-        sparse_cells = {(c.source_id, c.target_id): c.confidence
-                        for c in sparse.matrix.cells()}
-        assert plain_cells.keys() == sparse_cells.keys()
-        for pair, confidence in plain_cells.items():
-            assert abs(confidence - sparse_cells[pair]) <= TOLERANCE, pair
-
-    def test_sparse_composes_with_kernels(self, orders_graph, notice_graph):
-        plain = HarmonyEngine().match(orders_graph, notice_graph)
-        both = HarmonyEngine(
-            config=EngineConfig(similarity_kernels=True, sparse_tfidf=True)
-        ).match(orders_graph, notice_graph)
-        plain_cells = {(c.source_id, c.target_id): c.confidence
-                       for c in plain.matrix.cells()}
-        for cell in both.matrix.cells():
-            want = plain_cells[(cell.source_id, cell.target_id)]
-            assert abs(cell.confidence - want) <= TOLERANCE
-
-    def test_fast_preset_enables_sparse_tfidf(self):
-        assert EngineConfig.fast().sparse_tfidf is True
-        assert EngineConfig().sparse_tfidf is False
-        assert EngineConfig.fast(sparse_tfidf=False).sparse_tfidf is False
+    def test_sparse_run_matrix_identical(self, registry_pair, assert_engine_golden):
+        run = HarmonyEngine().match(*registry_pair)
+        assert_engine_golden("registry_small/directional", run.matrix, TOLERANCE)

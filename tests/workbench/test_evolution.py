@@ -5,6 +5,7 @@ import pytest
 from repro.core import ElementKind, MappingError, SchemaElement, SchemaGraph
 from repro.core.matrix import MappingMatrix
 from repro.workbench import (
+    IntegrationBlackboard,
     LoaderTool,
     MatcherTool,
     RematchReport,
@@ -269,43 +270,39 @@ def _graph_t() -> SchemaGraph:
 
 
 class TestDeltaSchemaSerialization:
-    """``delta_schema_rdf=True`` routes the evolved schema through the
-    O(delta) serializer without changing any observable blackboard state."""
+    """An evolve writes the new schema version with
+    ``put_schema(delta=True, previous=...)``: the O(delta) serializer must
+    leave exactly the blackboard state of a whole-schema rewrite."""
 
-    def _run(self, config):
-        from repro.harmony import HarmonyEngine
+    def test_delta_flag_produces_identical_blackboard_state(self):
+        from repro.rdf import reset_serialization_stats, serialization_stats
+
+        whole = IntegrationBlackboard()
+        delta = IntegrationBlackboard()
+        for blackboard in (whole, delta):
+            blackboard.put_schema(_graph_v1())
+            blackboard.put_schema(_graph_t())
+        reset_serialization_stats()
+        whole.put_schema(_graph_v2(), delta=False)
+        assert serialization_stats()["schema_delta_serializations"] == 0
+        delta.put_schema(_graph_v2(), delta=True, previous=_graph_v1())
+        assert serialization_stats()["schema_delta_serializations"] == 1
+        assert set(whole.store) == set(delta.store)
+        restored = delta.get_schema("s")
+        assert sorted(restored.element_ids) == sorted(_graph_v2().element_ids)
+
+    def test_evolve_writes_schema_through_delta_path(self):
+        from repro.rdf import reset_serialization_stats, serialization_stats
 
         manager = WorkbenchManager()
-        manager.register(MatcherTool(HarmonyEngine(config=config)))
+        manager.register(MatcherTool())
         manager.blackboard.put_schema(_graph_v1())
         manager.blackboard.put_schema(_graph_t())
         matrix = manager.invoke(
             "harmony", source_schema="s", target_schema="t")
-        report = evolve_and_rematch(
-            manager, matrix.name, _graph_v1(), _graph_v2(),
-            side="source", other_schema="t")
-        return manager, report
-
-    def test_delta_flag_produces_identical_blackboard_state(self):
-        from repro.harmony import EngineConfig
-        from repro.rdf import reset_serialization_stats, serialization_stats
-
         reset_serialization_stats()
-        plain_manager, plain_report = self._run(EngineConfig())
-        baseline = serialization_stats()
-        assert baseline["schema_delta_serializations"] == 0
-        delta_manager, delta_report = self._run(
-            EngineConfig(delta_schema_rdf=True))
-        stats = serialization_stats()
-        assert stats["schema_delta_serializations"] >= 1
-        assert set(plain_manager.blackboard.store) == set(
-            delta_manager.blackboard.store)
-        assert plain_report.axes_added == delta_report.axes_added
-        restored = delta_manager.blackboard.get_schema("s")
+        evolve_and_rematch(manager, matrix.name, _graph_v1(), _graph_v2(),
+                           side="source", other_schema="t")
+        assert serialization_stats()["schema_delta_serializations"] == 1
+        restored = manager.blackboard.get_schema("s")
         assert sorted(restored.element_ids) == sorted(_graph_v2().element_ids)
-
-    def test_fast_preset_enables_delta_schema_rdf(self):
-        from repro.harmony import EngineConfig
-
-        assert EngineConfig.fast().delta_schema_rdf is True
-        assert EngineConfig().delta_schema_rdf is False
