@@ -97,6 +97,11 @@ and enforces these guards:
   the same ``EngineConfig.fast()``, with every pair matrix bit-identical
   (1e-12).  Skipped (with a note) on single-CPU runners, where a process
   pool cannot win.
+* **feature-table count gate** — a hub-pruned ``integrate_sources`` over
+  the same 50-schema tier on one ``EngineConfig.fast()`` engine must
+  build exactly one element-feature table per schema it matched
+  (``fastpath_stats()["feature_builds"]``): a schema re-featurized per
+  pair fails it.  A count, so it holds on a noisy host.
 * **serving gates** — (1) the single-session sequential workflow (match,
   canned query, cell update, repeated) through the
   :class:`~repro.serving.server.WorkbenchServer` job queue must cost at
@@ -144,6 +149,7 @@ from repro.harmony import (
     cluster_pair_f1,
     evolution_closure,
     graph_delta,
+    integrate_sources,
     match_all_pairs,
     resolve_sweep_backend,
     select_pairs,
@@ -1340,6 +1346,23 @@ def _nway_parallel_microbench():
     return result
 
 
+def _feature_table_microbench():
+    """Feature tables built vs schemas matched, over one hub-pruned
+    integration of the 50-schema family tier on one warm engine."""
+    from repro.baselines.base import HarmonyMatcher
+
+    schemas, _ = family_workload(NWAY_PARALLEL_TIER)
+    engine = HarmonyEngine(config=EngineConfig.fast())
+    result = integrate_sources(
+        schemas, matcher=HarmonyMatcher(engine), threshold=NWAY_THRESHOLD,
+        pair_budget=3 * len(schemas))
+    matched = {name for pair in result.matrices for name in pair}
+    return {
+        "feature_schemas_matched": len(matched),
+        "feature_builds": engine.fastpath_stats()["feature_builds"],
+    }
+
+
 def _serving_microbench(source, target):
     """Two serving gates (see the module docstring).
 
@@ -1554,6 +1577,7 @@ def main(argv) -> int:
     result.update(_allpairs_microbench())
     result.update(_durability_microbench(source, target))
     result.update(_nway_parallel_microbench())
+    result.update(_feature_table_microbench())
     result.update(_serving_microbench(source, target))
     result.update(_nway_pruned_microbench())
     print("perf smoke (A12-large pair):")
@@ -1699,6 +1723,11 @@ def main(argv) -> int:
             f"{result['serving_parallel_speedup']:.2f}x the single-worker "
             f"thread server's throughput "
             f"(required >= {SERVING_MIN_PARALLEL_SPEEDUP}x)")
+    if result["feature_builds"] != result["feature_schemas_matched"]:
+        failures.append(
+            f"{result['feature_builds']} element-feature tables built for "
+            f"{result['feature_schemas_matched']} schemas matched (each "
+            f"schema must be featurized exactly once per integration)")
     if result["nway_pruned_speedup"] < NWAY_MIN_PRUNED_SPEEDUP:
         failures.append(
             f"hub-pruned N-way sweep only {result['nway_pruned_speedup']:.2f}x "

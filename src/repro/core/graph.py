@@ -70,6 +70,10 @@ class SchemaGraph:
         self._edges: Set[SchemaEdge] = set()
         self._out: Dict[str, List[SchemaEdge]] = {}
         self._in: Dict[str, List[SchemaEdge]] = {}
+        #: ids of the SCHEMA-kind elements, kept by add/remove_element so
+        #: :attr:`root` is O(1) (an element's kind must not change once
+        #: it is in a graph)
+        self._root_ids: Set[str] = set()
         #: bumped on every structural mutation; caches keyed on (graph,
         #: revision) — e.g. a reused MatchContext — use it to detect
         #: staleness without hashing the whole graph.
@@ -96,6 +100,8 @@ class SchemaGraph:
         if element.element_id in self._elements:
             raise DuplicateElementError(element.element_id)
         self._elements[element.element_id] = element
+        if element.kind is ElementKind.SCHEMA:
+            self._root_ids.add(element.element_id)
         self._out.setdefault(element.element_id, [])
         self._in.setdefault(element.element_id, [])
         self.revision += 1
@@ -140,6 +146,7 @@ class SchemaGraph:
         for edge in list(self._out[element_id]) + list(self._in[element_id]):
             self.remove_edge(edge)
         del self._elements[element_id]
+        self._root_ids.discard(element_id)
         del self._out[element_id]
         del self._in[element_id]
         self.revision += 1
@@ -181,12 +188,13 @@ class SchemaGraph:
     @property
     def root(self) -> SchemaElement:
         """The unique SCHEMA-kind element."""
-        roots = [e for e in self if e.kind is ElementKind.SCHEMA]
-        if len(roots) != 1:
+        if len(self._root_ids) != 1:
             raise SchemaError(
-                f"schema graph {self.name!r} has {len(roots)} root elements, expected 1"
+                f"schema graph {self.name!r} has {len(self._root_ids)} root "
+                f"elements, expected 1"
             )
-        return roots[0]
+        (root_id,) = self._root_ids
+        return self._elements[root_id]
 
     def elements_of_kind(self, kind: ElementKind) -> List[SchemaElement]:
         return [e for e in self if e.kind is kind]

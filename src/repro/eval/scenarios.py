@@ -100,6 +100,17 @@ def _perturb_name(name: str, rng: random.Random, config: ScenarioConfig,
     return new_tokens[0] + "".join(t.title() for t in new_tokens[1:])  # camelCase
 
 
+def _unique(name: str, used: set) -> str:
+    """*name*, or *name* plus the smallest numeric suffix (from 2) not in
+    *used*: two names can perturb to the same string in one scope, and
+    element ids must stay unique.  Deterministic — no random draws."""
+    candidate, suffix = name, 2
+    while candidate in used:
+        candidate, suffix = f"{name}{suffix}", suffix + 1
+    used.add(candidate)
+    return candidate
+
+
 def _paraphrase(doc: str, rng: random.Random, config: ScenarioConfig) -> str:
     """Keep most content words, vary the phrasing slightly."""
     words = doc.rstrip(".").split()
@@ -161,11 +172,16 @@ def generate_scenario(
     alignment = Alignment()
     domain_name_map: Dict[str, str] = {}
     target_docs = config.documentation == DOC_BOTH
+    # names taken per scope (domains, entities); a domain whose codes
+    # are all dropped frees its name again
+    domain_names: set = set()
+    entity_names: set = set()
 
     for domain in source_dict.get("domains", []):
         if not config.keep_domains:
             continue
-        new_domain_name = _perturb_name(domain["name"], rng, config, thesaurus)
+        new_domain_name = _unique(
+            _perturb_name(domain["name"], rng, config, thesaurus), domain_names)
         domain_name_map[domain["name"]] = new_domain_name
         values = []
         for value in domain.get("values", []):
@@ -177,6 +193,7 @@ def generate_scenario(
                 entry["documentation"] = _paraphrase(value["documentation"], rng, config)
             values.append(entry)
         if len(values) < 2:  # a scheme needs at least two codes to be one
+            domain_names.discard(new_domain_name)
             continue
         new_domain = {"name": new_domain_name, "type": domain.get("type", "string"),
                       "values": values}
@@ -195,7 +212,9 @@ def generate_scenario(
 
     noise_counter = 0
     for entity in source_dict.get("entities", []):
-        new_entity_name = _perturb_name(entity["name"], rng, config, thesaurus)
+        new_entity_name = _unique(
+            _perturb_name(entity["name"], rng, config, thesaurus), entity_names)
+        attribute_names: set = set()
         new_entity: Dict[str, Any] = {"name": new_entity_name, "attributes": []}
         if target_docs and entity.get("documentation"):
             new_entity["documentation"] = _paraphrase(entity["documentation"], rng, config)
@@ -204,7 +223,9 @@ def generate_scenario(
         for attribute in entity.get("attributes", []):
             if rng.random() < config.drop_rate and not attribute.get("key"):
                 continue
-            new_attr_name = _perturb_name(attribute["name"], rng, config, thesaurus)
+            new_attr_name = _unique(
+                _perturb_name(attribute["name"], rng, config, thesaurus),
+                attribute_names)
             new_attr: Dict[str, Any] = {
                 "name": new_attr_name,
                 "type": attribute.get("type", "string"),
@@ -236,7 +257,8 @@ def generate_scenario(
         while rng.random() < config.noise_attributes / (1 + config.noise_attributes):
             noise_counter += 1
             new_entity["attributes"].append(
-                {"name": f"auxiliary{noise_counter}", "type": "string",
+                {"name": _unique(f"auxiliary{noise_counter}", attribute_names),
+                 "type": "string",
                  "documentation": "Reserved for future use by the target system."
                  if target_docs else ""}
             )

@@ -145,11 +145,9 @@ class BlockingIndex:
     """
 
     def __init__(self) -> None:
-        #: source element id → sorted key list (retrieval iterates keys
-        #: sorted, so the sort is paid once here)
+        #: element id → sorted key list, per side
         self.source_keys: Dict[str, List[str]] = {}
-        #: target element id → key set
-        self.target_keys: Dict[str, Set[str]] = {}
+        self.target_keys: Dict[str, List[str]] = {}
         # assembled target-side retrieval structures
         self.families: Dict[str, List[SchemaElement]] = {}
         self.postings: Dict[str, Dict[str, List[str]]] = {}
@@ -241,12 +239,23 @@ class CandidateBlocker:
 
     def keys_for(
         self, context: MatchContext, graph: SchemaGraph, element: SchemaElement
+    ) -> List[str]:
+        """The blocking keys of one element (namespaced, see module doc),
+        sorted — retrieval iterates them in that order — and kept on its
+        feature record."""
+        record = context.features_of(element, graph)
+        signature = self._config_signature()
+        if record.blocking_keys is None or record.blocking_keys[0] != signature:
+            keys = sorted(self._extract_keys(context, graph, element))
+            record.blocking_keys = (signature, keys)
+        return record.blocking_keys[1]
+
+    def _extract_keys(
+        self, context: MatchContext, graph: SchemaGraph, element: SchemaElement
     ) -> Set[str]:
-        """The blocking keys of one element (namespaced, see module doc)."""
         config = self.config
         keys: Set[str] = set()
-        name_tokens = context.name_tokens(graph, element)
-        for token in name_tokens:
+        for token in context.features_of(element, graph).name_tokens:
             keys.add(f"n:{token}")
             if config.index_synonyms:
                 for synonym in context.thesaurus.synonyms(token):
@@ -260,10 +269,10 @@ class CandidateBlocker:
         if config.index_parents:
             parent = graph.parent(element.element_id)
             if parent is not None and parent.element_id != graph.root.element_id:
-                for token in context.name_tokens(graph, parent):
+                for token in context.features_of(parent, graph).name_tokens:
                     keys.add(f"p:{token}")
         if config.index_leaves and element.kind in CONTAINER_KINDS:
-            for token in context.leaf_tokens(graph, element):
+            for token in context.features_of(element, graph).leaf_tokens:
                 keys.add(f"l:{token}")
         return keys
 
@@ -286,25 +295,23 @@ class CandidateBlocker:
         context: MatchContext,
         graph: SchemaGraph,
         stale: Set[str],
-        cache: Dict[str, object],
-        sort: bool,
-    ) -> Dict[str, object]:
-        """Key sets for one side, reusing *cache* entries not in *stale*.
+        cache: Dict[str, List[str]],
+    ) -> Dict[str, List[str]]:
+        """Key lists for one side, reusing *cache* entries not in *stale*.
 
         Iterates the current graph, so removed elements drop out and
         added ones are keyed whether or not the closure named them.
         """
         root = graph.root.element_id
-        fresh: Dict[str, object] = {}
+        fresh: Dict[str, List[str]] = {}
         for element in graph:
             element_id = element.element_id
             if element_id == root or element.kind is ElementKind.KEY:
                 continue
             if element_id in cache and element_id not in stale:
                 fresh[element_id] = cache[element_id]
-                continue
-            keys = self.keys_for(context, graph, element)
-            fresh[element_id] = sorted(keys) if sort else keys
+            else:
+                fresh[element_id] = self.keys_for(context, graph, element)
         return fresh
 
     def _assemble(self, context: MatchContext, index: BlockingIndex) -> None:
@@ -363,10 +370,10 @@ class CandidateBlocker:
             index.target_keys = {}
             index.builds += 1
         index.source_keys = self._side_keys(
-            context, context.source, dirty_source, index.source_keys, sort=True
+            context, context.source, dirty_source, index.source_keys
         )
         index.target_keys = self._side_keys(
-            context, context.target, dirty_target, index.target_keys, sort=False
+            context, context.target, dirty_target, index.target_keys
         )
         self._assemble(context, index)
         index._key = key
@@ -608,9 +615,7 @@ class CandidateBlocker:
             if source_keys is not None:
                 element_keys = source_keys[source_el.element_id]
             else:
-                element_keys = sorted(
-                    self.keys_for(context, context.source, source_el)
-                )
+                element_keys = self.keys_for(context, context.source, source_el)
             for key in element_keys:
                 matched = postings.get(key)
                 if matched and len(matched) <= stop_df:

@@ -47,6 +47,7 @@ from .flooding import (
 from .learning import decisions_from_matrix, update_merger_weights, update_word_weights
 from .merger import MergeResult, VoteMerger
 from .voters import MatchContext, MatchVoter, default_voters
+from .voters.base import FeatureStore
 
 Pair = Tuple[str, str]
 CandidatePair = Tuple[SchemaElement, SchemaElement]
@@ -311,6 +312,10 @@ class HarmonyEngine:
         #: votes from the most recent run, kept for feedback learning
         self._last_votes: List[VoterScore] = []
         self._last_context: Optional[MatchContext] = None
+        #: per-element feature records, one table per (graph, revision,
+        #: thesaurus), shared by every context this engine builds: a
+        #: schema matched against many partners is featurized once
+        self._features = FeatureStore()
         #: how many MatchContexts this engine has built (a cache-hit
         #: counter for the refinement-loop reuse path; tests assert on it)
         self.context_builds: int = 0
@@ -368,6 +373,7 @@ class HarmonyEngine:
                 corpus_snapshot=self.corpus_snapshot,
                 embed_backend=self.config.embed_backend,
                 embedding_snapshot=self.embedding_snapshot,
+                features=self._features,
             )
             self.context_builds += 1
 
@@ -412,20 +418,18 @@ class HarmonyEngine:
         }
         post_flooding = self._flood(source, target, pre_flooding, decisions)
 
-        row_ids = set(matrix.row_ids)
-        column_ids = set(matrix.column_ids)
         if self.config.batched_matrix:
             matrix.set_cells(
                 (source_id, target_id, confidence)
                 for (source_id, target_id), confidence in post_flooding.items()
                 if source_id in source and target_id in target
-                and source_id in row_ids and target_id in column_ids
+                and matrix.has_row(source_id) and matrix.has_column(target_id)
             )
         else:
             for (source_id, target_id), confidence in post_flooding.items():
                 if source_id not in source or target_id not in target:
                     continue  # flooding can surface pairs outside the matrix axes
-                if source_id not in row_ids or target_id not in column_ids:
+                if not (matrix.has_row(source_id) and matrix.has_column(target_id)):
                     continue
                 matrix.set_confidence(source_id, target_id, confidence)
 
@@ -455,7 +459,7 @@ class HarmonyEngine:
         The engine diffs its previous run's graphs against *source* /
         *target* itself (element attributes, annotations and edges), then:
 
-        * patches the cached :class:`MatchContext` — token caches and
+        * patches the cached :class:`MatchContext` — feature records and
           TF-IDF documents for exactly the evolution closure (changed
           elements, their containment ancestors/descendants, has-domain
           referrers), rebinding it onto the new graph objects;
@@ -674,6 +678,9 @@ class HarmonyEngine:
         stats: Dict[str, object] = {
             "context_builds": self.context_builds,
             "rematch_patches": self.rematch_patches,
+            # feature tables built cold / carried over an evolution
+            "feature_builds": self._features.builds,
+            "feature_patches": self._features.patches,
             "sweep": self._resolve_backend().name,
             "flooding_compiles": flooding.compiles if flooding else 0,
             "flooding_patches": flooding.patches if flooding else 0,

@@ -596,8 +596,9 @@ def cluster_elements(
     by_name = {graph.name: graph for graph in schemas}
     uf = _UnionFind()
     for graph in schemas:
+        root = graph.root.element_id
         for element in graph:
-            if element.element_id == graph.root.element_id:
+            if element.element_id == root:
                 continue
             if element.kind in (ElementKind.KEY, ElementKind.DOMAIN_VALUE):
                 continue
@@ -811,16 +812,20 @@ def derive_target_schema(
     # domain values (and anything else) ride along implicitly; now the
     # per-source matrices with the derived links pre-accepted
     result.target = target
+    links_of_schema: Dict[str, List[Tuple[str, str]]] = {}
+    for index, cluster in enumerate(clusters):
+        derived_id = derived_id_of_cluster.get(index)
+        if derived_id is None:
+            continue
+        for schema_name, element_id in cluster:
+            links_of_schema.setdefault(schema_name, []).append(
+                (element_id, derived_id))
     for graph in schemas:
         matrix = MappingMatrix.from_schemas(graph, target)
-        for index, cluster in enumerate(clusters):
-            derived_id = derived_id_of_cluster.get(index)
-            if derived_id is None:
-                continue
-            for schema_name, element_id in cluster:
-                if schema_name == graph.name and element_id in matrix.row_ids:
-                    matrix.set_confidence(element_id, derived_id, 1.0,
-                                          user_defined=True)
+        for element_id, derived_id in links_of_schema.get(graph.name, ()):
+            if matrix.has_row(element_id):
+                matrix.set_confidence(element_id, derived_id, 1.0,
+                                      user_defined=True)
         result.source_to_target[graph.name] = matrix
     return result
 

@@ -107,9 +107,9 @@ class MatchSession:
                 rejected += 1
             self._changed(cell)
         for member in members:
-            if side == "source" and member in self.matrix.row_ids:
+            if side == "source" and self.matrix.has_row(member):
                 self.matrix.mark_row_complete(member)
-            elif side == "target" and member in self.matrix.column_ids:
+            elif side == "target" and self.matrix.has_column(member):
                 self.matrix.mark_column_complete(member)
         return accepted, rejected
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List
 
 from ...core.elements import SchemaElement
-from ...text.tokenize import split_identifier
 from .base import MatchContext, MatchVoter
 
 
@@ -34,8 +33,8 @@ class AcronymVoter(MatchVoter):
     name = "acronym"
 
     def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        tokens_a = split_identifier(source.name)
-        tokens_b = split_identifier(target.name)
+        tokens_a = context.features_of(source).split
+        tokens_b = context.features_of(target).split
         # single-token name on one side, multi-token on the other
         for short_tokens, long_tokens in ((tokens_a, tokens_b), (tokens_b, tokens_a)):
             if len(short_tokens) == 1 and len(long_tokens) >= 2:

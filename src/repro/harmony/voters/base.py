@@ -9,11 +9,13 @@ complete uncertainty."*
 
 Voters share a :class:`MatchContext` holding the two schema graphs, the
 linguistic resources (thesaurus, TF-IDF corpus over all documentation) and
-per-element token caches, so each voter stays small and stateless.
+the per-element :class:`ElementFeatures` records of a :class:`FeatureStore`,
+so each voter stays small and stateless.
 """
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -26,7 +28,106 @@ from ...text.stopwords import remove_stop_words
 from ...text.tfidf import CorpusSnapshot, TfIdfCorpus, preprocess
 from ...text.tfidf_sparse import SparseTfIdf
 from ...text.thesaurus import Thesaurus
-from ...text.tokenize import ngrams, split_identifier, word_tokens
+from ...text.tokenize import ngrams, split_identifier
+
+
+class ElementFeatures:
+    """What the name, thesaurus, acronym and structure voters and the
+    blocker derive from one element alone, computed once per graph
+    revision instead of once per scored pair."""
+
+    __slots__ = ("split", "expanded", "name_tokens", "path_tokens",
+                 "leaf_tokens", "blocking_keys")
+
+    def __init__(
+        self, graph: SchemaGraph, element: SchemaElement, thesaurus: Thesaurus
+    ) -> None:
+        #: raw identifier split of the name (the acronym voter's tokens)
+        self.split: List[str] = split_identifier(element.name)
+        expansions = [thesaurus.expand_abbreviation(t) for t in self.split]
+        #: abbreviation-expanded split tokens, digits dropped (the
+        #: thesaurus voter's tokens)
+        self.expanded: List[str] = [t for t in expansions if not t.isdigit()]
+        words: List[str] = []
+        for expansion in expansions:
+            words.extend(split_identifier(expansion) or [expansion])
+        #: stemmed, stop-word-free, abbreviation-expanded name tokens
+        self.name_tokens: List[str] = stem_all(remove_stop_words(words)) or words
+        #: stemmed tokens of the root-to-element name path (root excluded)
+        self.path_tokens: List[str] = [
+            stem(t)
+            for name in graph.path(element.element_id)[1:]
+            for t in split_identifier(name)
+        ]
+        #: stemmed name tokens of the leaf descendants below the element
+        self.leaf_tokens: FrozenSet[str] = frozenset(
+            stem(token)
+            for descendant in graph.subtree(element.element_id)[1:]
+            if not graph.children(descendant.element_id)
+            for token in split_identifier(descendant.name)
+        )
+        #: ``(key-config signature, sorted keys)``, filled by the blocker
+        self.blocking_keys: Optional[Tuple[Tuple, List[str]]] = None
+
+
+class FeatureStore:
+    """Per-element feature tables, one per (graph, revision, thesaurus).
+
+    An engine owns one store and hands it to every context it builds, so
+    a schema matched against many partners (N-way integration) is
+    featurized once, not once per pair.  Graphs are held weakly: a
+    long-lived engine does not pin every graph it has matched.  A table
+    is rebuilt, empty, when its graph's revision or the thesaurus moves;
+    :meth:`carry` moves an evolved graph's still-valid records over.
+    """
+
+    def __init__(self) -> None:
+        #: graph → (stamp, element id → record)
+        self._tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        #: the built-in thesaurus for contexts given none — one object,
+        #: so tables keyed on it keep hitting
+        self.default_thesaurus = Thesaurus.default()
+        #: tables built cold / carried over from an evolution
+        self.builds = 0
+        self.patches = 0
+
+    def __reduce__(self):
+        # a cache, not state: a pickled engine arrives with a cold store
+        return (FeatureStore, ())
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def table(
+        self, graph: SchemaGraph, thesaurus: Thesaurus
+    ) -> Dict[str, ElementFeatures]:
+        """The element-id → record table of *graph* as it is now."""
+        stamp = (graph.revision, thesaurus, thesaurus.revision)
+        entry = self._tables.get(graph)
+        if entry is None or entry[0] != stamp:
+            entry = (stamp, {})
+            self._tables[graph] = entry
+            self.builds += 1
+        return entry[1]
+
+    def carry(
+        self,
+        old: SchemaGraph,
+        old_revision: int,
+        new: SchemaGraph,
+        stale: set,
+        thesaurus: Thesaurus,
+    ) -> None:
+        """Seed *new*'s table with *old*'s records (as of *old_revision*)
+        except the *stale* element ids — the evolution closure."""
+        if new is old and new.revision == old_revision:
+            return  # unchanged side: its table is already current
+        entry = self._tables.get(old)
+        if entry is None or entry[0] != (old_revision, thesaurus, thesaurus.revision):
+            return
+        records = {k: v for k, v in entry[1].items() if k not in stale}
+        self._tables[new] = ((new.revision, thesaurus, thesaurus.revision), records)
+        self.patches += 1
 
 
 class MatchContext:
@@ -47,10 +148,17 @@ class MatchContext:
         embed_backend: str = "python",
         embed_config: Optional[EmbedConfig] = None,
         embedding_snapshot: Optional[EmbeddingSnapshot] = None,
+        features: Optional[FeatureStore] = None,
     ) -> None:
         self.source = source
         self.target = target
-        self.thesaurus = thesaurus if thesaurus is not None else Thesaurus.default()
+        #: where per-element records live: the engine's store, so they
+        #: outlive this context, or a private one
+        self.features = features if features is not None else FeatureStore()
+        self.thesaurus = (
+            thesaurus if thesaurus is not None
+            else self.features.default_thesaurus
+        )
         #: the string-measure namespace voters score through: the
         #: memoized kernels, held to the reference ``repro.text.similarity``
         #: at 1e-12 by tests/text/test_kernels_differential.py
@@ -66,16 +174,13 @@ class MatchContext:
         #: either corpus revision counter moving.
         self._pair_sims: Optional[Dict[Tuple[str, str], float]] = None
         self._pair_sims_rev: Optional[Tuple[int, int]] = None
-        self._name_tokens: Dict[Tuple[str, str], List[str]] = {}
-        self._path_tokens: Dict[Tuple[str, str], List[str]] = {}
-        self._leaf_tokens: Dict[Tuple[str, str], FrozenSet[str]] = {}
         #: dense-embedding state (``repro.embed``): the embedder is built
         #: lazily on first :meth:`embedding_of` call, vectors are memoized
-        #: per element under the same (graph name, element id) keys as the
-        #: token caches and invalidated by :meth:`patch_side` exactly like
-        #: them.  A shared :class:`EmbeddingSnapshot` (N-way matching)
-        #: serves pre-computed vectors, except for elements an evolution
-        #: has since touched.
+        #: per (graph name, element id) and invalidated by
+        #: :meth:`patch_side` for the evolution closure.  A shared
+        #: :class:`EmbeddingSnapshot` (N-way matching) serves
+        #: pre-computed vectors, except for elements an evolution has
+        #: since touched.
         self._embed_backend_selector = embed_backend
         self._embed_config = embed_config or EmbedConfig()
         self._embedder: Optional[HashEmbedder] = None
@@ -103,9 +208,7 @@ class MatchContext:
                     if graph is source:
                         source_docs.add(doc)
         self._source_docs = frozenset(source_docs)
-        #: graph revisions at build time — is_current() compares against
-        #: these so a mutated schema forces a context rebuild.
-        self._built_for = (source.revision, target.revision)
+        self.rebind(source, target)
 
     def is_current(self, source: SchemaGraph, target: SchemaGraph) -> bool:
         """Whether this context still describes *source* and *target*.
@@ -124,8 +227,9 @@ class MatchContext:
 
         *closure_ids* is the engine's evolution closure for this side
         (``repro.harmony.engine.evolution_closure``); *delta* the
-        :class:`~repro.harmony.engine.GraphDelta`.  Token caches for the
-        closure are dropped, and the TF-IDF corpus is patched in place —
+        :class:`~repro.harmony.engine.GraphDelta`.  The new graph's
+        feature table keeps every record outside the closure, and the
+        TF-IDF corpus is patched in place —
         documents removed, replaced or added only where documentation
         actually changed, so the corpus revision (and with it every
         cosine memo) moves only when IDFs really shift.  Because the
@@ -138,16 +242,16 @@ class MatchContext:
         old_graph = self.source if side == "source" else self.target
         graph_name = old_graph.name
         removed = delta.removed
-        for cache in (self._name_tokens, self._path_tokens,
-                      self._leaf_tokens, self._embeddings):
-            for element_id in closure_ids:
-                cache.pop((graph_name, element_id), None)
-            for element_id in removed:
-                cache.pop((graph_name, element_id), None)
+        stale = set(closure_ids) | removed
+        self.features.carry(
+            old_graph, self._built_for[side == "target"], new_graph, stale,
+            self.thesaurus)
+        for element_id in stale:
+            self._embeddings.pop((graph_name, element_id), None)
         if self._embedding_snapshot is not None:
             # the shared snapshot predates the evolution: vectors for the
             # touched closure must be re-hashed, not served stale
-            for element_id in set(closure_ids) | removed:
+            for element_id in stale:
                 self._stale_snapshot_docs.add(f"{graph_name}::{element_id}")
         for element_id in removed:
             doc = f"{graph_name}::{element_id}"
@@ -175,7 +279,11 @@ class MatchContext:
         :meth:`patch_side` has been applied for both sides."""
         self.source = source
         self.target = target
+        #: graph revisions at build time — is_current() compares against
+        #: these so a mutated schema forces a context rebuild.
         self._built_for = (source.revision, target.revision)
+        self._source_features = self.features.table(source, self.thesaurus)
+        self._target_features = self.features.table(target, self.thesaurus)
 
     @staticmethod
     def _doc_id(graph: SchemaGraph, element: SchemaElement) -> str:
@@ -235,46 +343,24 @@ class MatchContext:
             return self.source
         return self.target
 
-    def name_tokens(self, graph: SchemaGraph, element: SchemaElement) -> List[str]:
-        """Stemmed, stop-word-free, abbreviation-expanded name tokens."""
-        key = (graph.name, element.element_id)
-        if key not in self._name_tokens:
-            raw = split_identifier(element.name)
-            expanded: List[str] = []
-            for token in raw:
-                expansion = self.thesaurus.expand_abbreviation(token)
-                expanded.extend(split_identifier(expansion) or [expansion])
-            self._name_tokens[key] = stem_all(remove_stop_words(expanded)) or expanded
-        return self._name_tokens[key]
-
-    def path_tokens(self, graph: SchemaGraph, element: SchemaElement) -> List[str]:
-        """Stemmed tokens of the root-to-element name path (root excluded).
-
-        Cached per element — the structure voter asks for the same path
-        once per candidate pair, which is O(S·T) recomputations without
-        this memo.
-        """
-        key = (graph.name, element.element_id)
-        if key not in self._path_tokens:
-            tokens: List[str] = []
-            for name in graph.path(element.element_id)[1:]:
-                tokens.extend(stem(t) for t in split_identifier(name))
-            self._path_tokens[key] = tokens
-        return self._path_tokens[key]
-
-    def leaf_tokens(self, graph: SchemaGraph, element: SchemaElement) -> FrozenSet[str]:
-        """Stemmed name tokens of the leaf descendants below an element."""
-        key = (graph.name, element.element_id)
-        if key not in self._leaf_tokens:
-            names = set()
-            for descendant in graph.subtree(element.element_id):
-                if descendant.element_id == element.element_id:
-                    continue
-                if not graph.children(descendant.element_id):
-                    for token in split_identifier(descendant.name):
-                        names.add(stem(token))
-            self._leaf_tokens[key] = frozenset(names)
-        return self._leaf_tokens[key]
+    def features_of(
+        self, element: SchemaElement, graph: Optional[SchemaGraph] = None
+    ) -> ElementFeatures:
+        """The element's feature record (built on first use per graph
+        revision); *graph* defaults to :meth:`graph_of`."""
+        if graph is None:
+            graph = self.graph_of(element)
+        if graph is self.source:
+            table = self._source_features
+        elif graph is self.target:
+            table = self._target_features
+        else:
+            table = self.features.table(graph, self.thesaurus)
+        record = table.get(element.element_id)
+        if record is None:
+            record = ElementFeatures(graph, element, self.thesaurus)
+            table[element.element_id] = record
+        return record
 
     @property
     def embedder(self) -> HashEmbedder:
@@ -295,9 +381,9 @@ class MatchContext:
         Mirrors the blocking index's key namespaces so ANN retrieval
         sees the same evidence as the inverted index, fused into one
         vector: name tokens ride the standard pipeline
-        (:meth:`name_tokens`: abbreviation expansion → stop words →
-        stemming) plus their thesaurus synonyms and character n-grams
-        (subword robustness: ``lname``/``lastname`` share mass),
+        (:attr:`ElementFeatures.name_tokens`: abbreviation expansion →
+        stop words → stemming) plus their thesaurus synonyms and
+        character n-grams (subword robustness: ``lname``/``lastname`` share mass),
         documentation contributes its preprocessed terms, the
         containment parent its name tokens (generic attribute names
         under similar entities stay near) and containers their leaf
@@ -307,7 +393,7 @@ class MatchContext:
         """
         config = self._embed_config
         features: List[str] = []
-        for token in self.name_tokens(graph, element):
+        for token in self.features_of(element, graph).name_tokens:
             # tokens twice: exact-name evidence outweighs subword grams,
             # and integer counts keep backend parity bit-exact
             features.append(f"t:{token}")
@@ -325,10 +411,10 @@ class MatchContext:
                 features.append(f"d:{term}")
         parent = graph.parent(element.element_id)
         if parent is not None and parent.element_id != graph.root.element_id:
-            for token in self.name_tokens(graph, parent):
+            for token in self.features_of(parent, graph).name_tokens:
                 features.append(f"p:{token}")
         if element.kind in CONTAINER_KINDS:
-            for token in self.leaf_tokens(graph, element):
+            for token in self.features_of(element, graph).leaf_tokens:
                 features.append(f"l:{token}")
         return features
 

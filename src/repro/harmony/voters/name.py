@@ -23,8 +23,8 @@ class NameVoter(MatchVoter):
         a, b = source.name, target.name
         if a.lower() == b.lower():
             return 1.0
-        tokens_a = context.name_tokens(context.graph_of(source), source)
-        tokens_b = context.name_tokens(context.graph_of(target), target)
+        tokens_a = context.features_of(source).name_tokens
+        tokens_b = context.features_of(target).name_tokens
         similarity = context.sim.blended_name_similarity(a, b, tokens_a, tokens_b)
         if tokens_a and tokens_a == tokens_b:
             return 1.0

@@ -22,14 +22,14 @@ class StructureVoter(MatchVoter):
     name = "structure"
 
     def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        graph_s = context.graph_of(source)
-        graph_t = context.graph_of(target)
+        features_s = context.features_of(source)
+        features_t = context.features_of(target)
         path_sim = context.sim.monge_elkan(
-            context.path_tokens(graph_s, source), context.path_tokens(graph_t, target)
+            features_s.path_tokens, features_t.path_tokens
         )
         if source.is_container and target.is_container:
-            leaves_s = context.leaf_tokens(graph_s, source)
-            leaves_t = context.leaf_tokens(graph_t, target)
+            leaves_s = features_s.leaf_tokens
+            leaves_t = features_t.leaf_tokens
             if leaves_s and leaves_t:
                 leaf_sim = context.sim.jaccard_similarity(leaves_s, leaves_t)
                 similarity = 0.5 * path_sim + 0.5 * leaf_sim

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List
 
 from ...core.elements import SchemaElement
-from ...text.tokenize import split_identifier
 from .base import MatchContext, MatchVoter, calibrate
 
 
@@ -27,8 +26,8 @@ class ThesaurusVoter(MatchVoter):
 
     def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
         thesaurus = context.thesaurus
-        tokens_a = self._tokens(source.name, context)
-        tokens_b = self._tokens(target.name, context)
+        tokens_a = context.features_of(source).expanded
+        tokens_b = context.features_of(target).expanded
         if not tokens_a or not tokens_b:
             return 0.0
 
@@ -40,10 +39,3 @@ class ThesaurusVoter(MatchVoter):
         if overlap == 0.0:
             return 0.0  # abstain: no synonym evidence either way
         return calibrate(overlap, zero_point=0.25, full_point=0.95, negative_floor=0.0)
-
-    @staticmethod
-    def _tokens(name: str, context: MatchContext) -> List[str]:
-        tokens = []
-        for token in split_identifier(name):
-            tokens.append(context.thesaurus.expand_abbreviation(token))
-        return [t for t in tokens if not t.isdigit()]

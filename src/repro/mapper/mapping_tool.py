@@ -236,11 +236,11 @@ class MappingTool:
         generators see the mapper's work on the blackboard."""
         for entity in self.spec.entities:
             for mapping in entity.attributes:
-                if mapping.target_attribute in self.matrix.column_ids:
+                if self.matrix.has_column(mapping.target_attribute):
                     self.matrix.set_column_code(
                         mapping.target_attribute, mapping.transform.to_code()
                     )
-            if entity.target_entity in self.matrix.column_ids:
+            if self.matrix.has_column(entity.target_entity):
                 self.matrix.set_column_code(
                     entity.target_entity, entity.entity_transform.to_code()
                 )

@@ -163,6 +163,9 @@ class Thesaurus:
     ) -> None:
         self._synset_of: Dict[str, Set[str]] = {}
         self._abbreviations: Dict[str, str] = dict(abbreviations or {})
+        #: bumped on every addition, so token caches keyed on this
+        #: thesaurus (the engine's feature tables) see it change
+        self.revision = 0
         for group in synsets:
             self.add_synset(group)
 
@@ -187,9 +190,11 @@ class Thesaurus:
                 merged |= existing
         for word in merged:
             self._synset_of[word] = merged
+        self.revision += 1
 
     def add_abbreviation(self, short: str, full: str) -> None:
         self._abbreviations[short.lower()] = full.lower()
+        self.revision += 1
 
     # -- lookup ---------------------------------------------------------------
 

@@ -93,11 +93,11 @@ def apply_evolution(
     # added elements: fresh axes
     for element_id in diff.added:
         if is_row:
-            if element_id not in matrix.row_ids:
+            if not matrix.has_row(element_id):
                 matrix.add_row(element_id, schema_name=schema_name)
                 report.axes_added.append(element_id)
         else:
-            if element_id not in matrix.column_ids:
+            if not matrix.has_column(element_id):
                 matrix.add_column(element_id, schema_name=schema_name)
                 report.axes_added.append(element_id)
 
@@ -113,9 +113,9 @@ def apply_evolution(
             cell.suggest(0.0)
             report.suggestions_reset.append(cell.pair)
     for element_id in affected:
-        if is_row and element_id in matrix.row_ids:
+        if is_row and matrix.has_row(element_id):
             matrix.mark_row_complete(element_id, complete=False)
-        elif not is_row and element_id in matrix.column_ids:
+        elif not is_row and matrix.has_column(element_id):
             matrix.mark_column_complete(element_id, complete=False)
     return report
 

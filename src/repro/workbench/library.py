@@ -80,8 +80,8 @@ class MappingLibrary:
             past = self.blackboard.get_matrix(entry.matrix_name)
             for cell in past.accepted():
                 if (
-                    cell.source_id in matrix.row_ids
-                    and cell.target_id in matrix.column_ids
+                    matrix.has_row(cell.source_id)
+                    and matrix.has_column(cell.target_id)
                     and not matrix.cell(cell.source_id, cell.target_id).is_decided
                 ):
                     matrix.set_confidence(cell.source_id, cell.target_id, 0.9)

@@ -141,6 +141,56 @@ class TestMutation:
         assert clone.edges == small_graph.edges
 
 
+class TestRootInvariant:
+    """``root`` is O(1): the SCHEMA-kind ids are kept by add/remove."""
+
+    def test_second_schema_element_makes_root_raise(self, small_graph):
+        small_graph.add_element(SchemaElement("s2", "s2", ElementKind.SCHEMA))
+        with pytest.raises(SchemaError, match="has 2 root elements"):
+            small_graph.root
+        assert small_graph.validate() == [
+            "schema graph 's' has 2 root elements, expected 1"]
+
+    def test_removing_the_extra_root_restores_root(self, small_graph):
+        small_graph.add_element(SchemaElement("s2", "s2", ElementKind.SCHEMA))
+        small_graph.remove_element("s2")
+        assert small_graph.root.element_id == "s"
+
+    def test_removing_the_root_makes_root_raise(self, small_graph):
+        small_graph.remove_element("s")
+        with pytest.raises(SchemaError, match="has 0 root elements"):
+            small_graph.root
+
+    def test_graph_without_schema_element_has_no_root(self):
+        graph = SchemaGraph("bare")
+        graph.add_element(SchemaElement("bare/T", "T", ElementKind.TABLE))
+        with pytest.raises(SchemaError, match="has 0 root elements"):
+            graph.root
+
+    def test_copy_keeps_root(self, small_graph):
+        assert small_graph.copy("s2").root.element_id == "s"
+
+    def test_pickle_round_trip_keeps_root(self, small_graph):
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(small_graph))
+        assert clone.root.element_id == "s"
+        clone.remove_element("s")
+        with pytest.raises(SchemaError):
+            clone.root
+        assert small_graph.root.element_id == "s"
+
+    def test_rdf_round_trip_keeps_root(self, small_graph):
+        from repro.rdf import TripleStore
+        from repro.rdf.schema_rdf import rdf_to_schema, schema_to_rdf
+
+        store = TripleStore()
+        schema_to_rdf(small_graph, store)
+        loaded = rdf_to_schema(store, "s")
+        assert loaded.root.element_id == "s"
+        assert loaded.root.kind is ElementKind.SCHEMA
+
+
 class TestValidation:
     def test_valid_graph_has_no_problems(self, small_graph):
         assert small_graph.validate() == []

@@ -36,6 +36,16 @@ class TestAxes:
         assert matrix.row_ids == []
         assert list(matrix.cells()) == []
 
+    def test_has_row_and_column_track_axes(self):
+        matrix = MappingMatrix()
+        matrix.add_row("a")
+        matrix.add_column("x")
+        assert matrix.has_row("a") and not matrix.has_row("x")
+        assert matrix.has_column("x") and not matrix.has_column("a")
+        matrix.remove_row("a")
+        matrix.remove_column("x")
+        assert not matrix.has_row("a") and not matrix.has_column("x")
+
 
 class TestCells:
     def test_cell_materializes_on_demand(self):

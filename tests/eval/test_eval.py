@@ -155,6 +155,28 @@ class TestScenarios:
                                                                        noise_attributes=0.0))
         assert len(drop_many.target) < len(keep_all.target)
 
+    def test_registry_models_generate_despite_name_collisions(self):
+        """Perturbed names that collide in one scope get a numeric suffix
+        (12 of these 40 models used to raise DuplicateElementError)."""
+        from repro.registry import RegistryProfile, generate_registry
+
+        registry = generate_registry(
+            seed=7, scale=1.0,
+            profile=RegistryProfile.compact(
+                40, elements_per_model=10, attributes_per_element=8))
+        suffixed = []
+        for i, model in enumerate(registry["models"]):
+            scenario = generate_scenario(model, ScenarioConfig(seed=i))
+            targets = [target for _, target in scenario.alignment]
+            assert set(targets) <= set(scenario.target.element_ids)
+            assert len(targets) == len(set(targets))
+            suffixed.extend(t for t in targets if t.endswith("2")
+                            and t[:-1] in scenario.target)
+        # the first collision reported: two attributes perturbed to "day"
+        assert ("model_0039_JointComponent_prime/primary_report/day2"
+                in suffixed)
+        assert len(suffixed) >= 12
+
     def test_standard_suite_shape(self):
         suite = standard_suite(seeds=(7,))
         assert len(suite) == 3  # three base models
